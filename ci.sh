@@ -77,6 +77,34 @@ grep -q '"kind":"apriori-seg"' "$TMP/seg.ckpt"
     --checkpoint "$TMP/seg.ckpt" --resume > "$TMP/big_resumed.out" 2> /dev/null
 diff "$TMP/big_plain.out" "$TMP/big_resumed.out"
 
+# Self-check smoke (DESIGN.md §14): a deep-lattice `mine --maximal` must
+# certify its own answer (Corollary 4 plus the printed negative border),
+# with the check's time attributed to its own `selfcheck` stats phase.
+# Its Theorem 7 dualization goes through the planner, as does every
+# dualization the job layer runs: no hard-coded Berge outside tests.
+awk 'BEGIN {
+    srand(5);
+    for (p = 0; p < 4; p++)
+        for (i = 0; i < 9; i++) pat[p, i] = "it" ((p * 5 + i) % 22);
+    for (r = 0; r < 600; r++) {
+        p = int(rand() * 4); line = "";
+        for (i = 0; i < 9; i++) if (rand() < 0.85) line = line " " pat[p, i];
+        line = line " it" int(rand() * 22);
+        print substr(line, 2);
+    }
+}' > "$TMP/deep.txt"
+"$DM" mine "$TMP/deep.txt" --min-support 0.1 --maximal --stats json \
+    > "$TMP/deep.out"
+grep -q '^Verified: true (' "$TMP/deep.out" \
+    || { echo "deep mine --maximal did not verify"; exit 1; }
+tail -n 1 "$TMP/deep.out" | grep -q '{"name":"selfcheck","ms":' \
+    || { echo "stats lack the selfcheck phase"; exit 1; }
+# Only the lines before a file's first #[cfg(test)] count.
+awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+     !test && /TrAlgorithm::Berge/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+     END { exit bad }' crates/serve/src/*.rs \
+    || { echo "hard-coded TrAlgorithm::Berge in crates/serve/src"; exit 1; }
+
 # Scheduler stress (DESIGN.md §13): hammer the work-stealing scheduler
 # with repeated runs at threads=8 and a fine grain — every repetition and
 # every thread count must print bit-identical output, including under a

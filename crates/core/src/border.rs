@@ -40,12 +40,16 @@ pub fn negative_border_via_transversals(
     maxth: &[AttrSet],
     algo: TrAlgorithm,
 ) -> Vec<AttrSet> {
-    let bd_plus = positive_border(maxth);
-    let h = Hypergraph::from_edges(n, bd_plus)
-        .expect("positive border lives in the universe")
-        .complement_edges();
-    let tr = transversals_with(&h, algo);
-    tr.edges().to_vec()
+    transversals_of_complements(n, &positive_border(maxth), algo)
+}
+
+/// Theorem 7 on a family that is already an antichain: `Tr(H(S))` with
+/// `H(S) = {R \ m : m ∈ bd_plus}`, in the canonical card-lex order every
+/// backend returns.
+fn transversals_of_complements(n: usize, bd_plus: &[AttrSet], algo: TrAlgorithm) -> Vec<AttrSet> {
+    let h = Hypergraph::from_edges(n, bd_plus.iter().map(AttrSet::complement).collect())
+        .expect("positive border lives in the universe");
+    transversals_with(&h, algo).edges().to_vec()
 }
 
 /// The negative border by direct definition, computed from an explicit
@@ -142,6 +146,33 @@ pub struct VerifyOutcome {
     /// The first failing sentence, if any: a positive-border member found
     /// uninteresting, or a negative-border member found interesting.
     pub counterexample: Option<AttrSet>,
+    /// `Bd⁻(S)` by Theorem 7, card-lex sorted: the sentences the second
+    /// half of the check queries. When `is_maxth` holds this is the
+    /// negative border of the theory itself.
+    pub negative_border: Vec<AttrSet>,
+}
+
+impl VerifyOutcome {
+    /// Certifies a negative border computed elsewhere (for instance by
+    /// the miner that produced `S`) against the one Theorem 7 gives.
+    /// Returns the first set, in card-lex order, that lies in exactly one
+    /// of the two; `None` when they agree. `claimed` must be card-lex
+    /// sorted, as every border in this workspace is.
+    pub fn border_difference<'a>(&'a self, claimed: &'a [AttrSet]) -> Option<&'a AttrSet> {
+        let (mut a, mut b) = (self.negative_border.iter(), claimed.iter());
+        let (mut x, mut y) = (a.next(), b.next());
+        loop {
+            match (x, y) {
+                (None, None) => return None,
+                (Some(s), None) | (None, Some(s)) => return Some(s),
+                (Some(s), Some(t)) => match s.cmp_card_lex(t) {
+                    std::cmp::Ordering::Equal => (x, y) = (a.next(), b.next()),
+                    std::cmp::Ordering::Less => return Some(s),
+                    std::cmp::Ordering::Greater => return Some(t),
+                },
+            }
+        }
+    }
 }
 
 /// Problem 3 / Corollary 4: verify `S = MTh(L, r, q)` using exactly
@@ -149,45 +180,37 @@ pub struct VerifyOutcome {
 ///
 /// `s` must be an antichain (the candidate `MTh` itself); dominated members
 /// would make "S = MTh" trivially false, so they are rejected by assertion
-/// rather than silently maximized away.
+/// rather than silently maximized away. `Bd⁻(S)` comes from one
+/// dualization with `algo` ([`TrAlgorithm::Auto`] lets the planner pick
+/// the backend); every backend yields the same border, so the verdict and
+/// the query count do not depend on `algo`.
 pub fn verify_maxth<O: InterestOracle>(
     oracle: &mut O,
     s: &[AttrSet],
     algo: TrAlgorithm,
 ) -> VerifyOutcome {
     let n = oracle.universe_size();
-    assert_eq!(
-        positive_border(s).len(),
-        s.len(),
-        "candidate MTh must be an antichain"
-    );
+    let bd_plus = positive_border(s);
+    assert_eq!(bd_plus.len(), s.len(), "candidate MTh must be an antichain");
+    let negative_border = transversals_of_complements(n, &bd_plus, algo);
+    // Every claimed-maximal sentence must be interesting, and every
+    // minimal sentence just outside must not be.
+    let claims = s.iter().map(|m| (m, true));
+    let outside = negative_border.iter().map(|t| (t, false));
     let mut queries = 0u64;
-    // Every claimed-maximal sentence must be interesting…
-    for m in s {
+    let mut counterexample = None;
+    for (sentence, interesting) in claims.chain(outside) {
         queries += 1;
-        if !oracle.is_interesting(m) {
-            return VerifyOutcome {
-                is_maxth: false,
-                queries,
-                counterexample: Some(m.clone()),
-            };
-        }
-    }
-    // …and every minimal sentence just outside must not be.
-    for t in negative_border_via_transversals(n, s, algo) {
-        queries += 1;
-        if oracle.is_interesting(&t) {
-            return VerifyOutcome {
-                is_maxth: false,
-                queries,
-                counterexample: Some(t),
-            };
+        if oracle.is_interesting(sentence) != interesting {
+            counterexample = Some(sentence.clone());
+            break;
         }
     }
     VerifyOutcome {
-        is_maxth: true,
+        is_maxth: counterexample.is_none(),
         queries,
-        counterexample: None,
+        counterexample,
+        negative_border,
     }
 }
 
@@ -281,6 +304,34 @@ mod tests {
         let out = verify_maxth(&mut oracle, &[u.parse("ABCD").unwrap()], TrAlgorithm::Berge);
         assert!(!out.is_maxth);
         assert_eq!(out.counterexample, Some(u.parse("ABCD").unwrap()));
+    }
+
+    #[test]
+    fn verify_reports_the_theorem7_border_for_every_backend() {
+        let (u, maxth) = fig1();
+        for algo in [TrAlgorithm::Auto, TrAlgorithm::Berge, TrAlgorithm::MuMmcs] {
+            let mut oracle = FamilyOracle::new(4, maxth.clone());
+            let out = verify_maxth(&mut oracle, &maxth, algo);
+            assert_eq!(u.display_family(out.negative_border.iter()), "{AD, CD}");
+            assert_eq!(out.border_difference(&out.negative_border), None);
+        }
+    }
+
+    #[test]
+    fn border_difference_names_the_first_differing_set() {
+        let (u, maxth) = fig1();
+        let mut oracle = FamilyOracle::new(4, maxth.clone());
+        let out = verify_maxth(&mut oracle, &maxth, TrAlgorithm::Auto);
+        let p = |s: &str| u.parse(s).unwrap();
+        // A set missing from the claim, a stray extra, and a substitute.
+        assert_eq!(out.border_difference(&[p("CD")]), Some(&p("AD")));
+        assert_eq!(out.border_difference(&[p("AD"), p("CD")]), None);
+        assert_eq!(
+            out.border_difference(&[p("AD"), p("CD"), p("ABD")]),
+            Some(&p("ABD"))
+        );
+        assert_eq!(out.border_difference(&[p("D")]), Some(&p("D")));
+        assert_eq!(out.border_difference(&[p("AD"), p("BC")]), Some(&p("BC")));
     }
 
     #[test]

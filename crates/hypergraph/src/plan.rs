@@ -160,6 +160,23 @@ impl PlanDecision {
     }
 }
 
+/// Every strategy, in the order the `--algo` help lists them.
+pub const ALGORITHMS: [TrAlgorithm; 7] = [
+    TrAlgorithm::Auto,
+    TrAlgorithm::Berge,
+    TrAlgorithm::FkJointGeneration,
+    TrAlgorithm::LevelwiseLargeEdges,
+    TrAlgorithm::Mmcs,
+    TrAlgorithm::MuMmcs,
+    TrAlgorithm::Egm,
+];
+
+/// The strategy a CLI `--algo` spelling names: the inverse of
+/// [`algo_name`].
+pub fn algo_from_name(name: &str) -> Option<TrAlgorithm> {
+    ALGORITHMS.into_iter().find(|&a| algo_name(a) == name)
+}
+
 /// The CLI `--algo` spelling of each strategy.
 pub fn algo_name(algo: TrAlgorithm) -> &'static str {
     match algo {

@@ -16,14 +16,14 @@
 use std::fmt::Write as _;
 
 use dualminer_bitset::{AttrSet, Universe};
-use dualminer_core::border::verify_maxth;
+use dualminer_core::border::{verify_maxth, VerifyOutcome};
 use dualminer_core::checkpoint::{
     Aborted, CheckpointCfg, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
 };
 use dualminer_core::dualize_advance::{dualize_advance_try_ctl, DualizeAdvanceConfig};
 use dualminer_core::fallible::FaultyOracle;
 use dualminer_core::levelwise::levelwise_par_try_ctl;
-use dualminer_core::oracle::{CountingOracle, FamilyOracle};
+use dualminer_core::oracle::FamilyOracle;
 use dualminer_fdep::fd::minimal_fd_lhs_via_agree_sets;
 use dualminer_fdep::keys::{minimal_keys_via_agree_sets, KeyDiscovery, NonSuperkeyOracle};
 use dualminer_fdep::Relation;
@@ -256,6 +256,7 @@ fn render_mine(
     fs: &FrequentSets,
     opts: &MineOpts,
     reason: Option<BudgetReason>,
+    observer: &dyn MiningObserver,
 ) -> String {
     let mut body = String::new();
     out!(
@@ -291,15 +292,17 @@ fn render_mine(
             out!(body, "  {}", universe.display(b));
         }
         if reason.is_none() {
-            // Verify with Corollary 4 — belt and braces for the user.
-            let mut oracle = CountingOracle::new(FrequencyOracle::new(db, sigma));
-            let out = verify_maxth(&mut oracle, &fs.maximal, TrAlgorithm::Berge);
-            out!(
-                body,
-                "Verified: {} ({} oracle queries = |Bd⁺|+|Bd⁻|)",
-                out.is_maxth,
-                out.queries
+            // Corollary 4 — belt and braces for the user. Its Theorem 7
+            // dualization goes through the planner like every other
+            // dualization here.
+            observer.on_phase_start("selfcheck");
+            let check = verify_maxth(
+                &mut FrequencyOracle::new(db, sigma),
+                &fs.maximal,
+                TrAlgorithm::Auto,
             );
+            observer.on_phase_end("selfcheck");
+            render_verdict(&mut body, universe, &check, &fs.negative_border);
         } else {
             out!(body, "(not verified: run was cut short, the family is maximal only within the mined prefix)");
         }
@@ -323,6 +326,35 @@ fn render_mine(
         }
     }
     body
+}
+
+/// Renders the Corollary 4 verdict on the printed `MTh` together with the
+/// certificate of the printed negative border: verified only if the
+/// oracle accepts the whole border of `MTh` *and* the printed `Bd⁻` is
+/// the one Theorem 7 gives. A failure names its first witness.
+fn render_verdict(
+    body: &mut String,
+    universe: &Universe,
+    check: &VerifyOutcome,
+    printed_border: &[AttrSet],
+) {
+    let mismatch = check.border_difference(printed_border);
+    out!(
+        body,
+        "Verified: {} ({} oracle queries = |Bd⁺|+|Bd⁻|)",
+        check.is_maxth && mismatch.is_none(),
+        check.queries
+    );
+    if let Some(c) = &check.counterexample {
+        out!(body, "  counterexample: {}", universe.display(c));
+    }
+    if let Some(d) = mismatch {
+        out!(
+            body,
+            "  negative border differs from Theorem 7's at {}",
+            universe.display(d)
+        );
+    }
 }
 
 /// Mines `db` at absolute threshold `sigma` and renders the `mine` body.
@@ -405,7 +437,7 @@ pub fn mine(
         apriori_par_ctl(db, sigma, cx.threads, &cx.ctl()).into_parts()
     };
     cx.observer.on_phase_end("mine");
-    let body = render_mine(universe, db, sigma, &fs, opts, reason);
+    let body = render_mine(universe, db, sigma, &fs, opts, reason, cx.observer);
     Ok((
         JobOutput {
             body,
@@ -437,7 +469,15 @@ pub fn mine_incremental(
     let sigma = old.min_support();
     let (update, reason) = append_rows_ctl(old_db, old, new_rows, &cx.ctl()).into_parts();
     cx.observer.on_phase_end("mine");
-    let body = render_mine(universe, &update.db, sigma, &update.frequent, opts, reason);
+    let body = render_mine(
+        universe,
+        &update.db,
+        sigma,
+        &update.frequent,
+        opts,
+        reason,
+        cx.observer,
+    );
     (
         JobOutput {
             body,
@@ -461,6 +501,19 @@ pub fn keys(
     run: &RunOpts,
     cx: &ExecCtx<'_>,
 ) -> Result<JobOutput, JobError> {
+    keys_with(universe, rel, fds, run, cx, TrAlgorithm::Auto)
+}
+
+/// [`keys`] with every dualization run by `algo`. The body does not
+/// depend on `algo`; tests pin that against forced backends.
+fn keys_with(
+    universe: &Universe,
+    rel: &Relation,
+    fds: bool,
+    run: &RunOpts,
+    cx: &ExecCtx<'_>,
+    algo: TrAlgorithm,
+) -> Result<JobOutput, JobError> {
     let mut body = String::new();
     out!(body, "{} rows × {} attributes", rel.n_rows(), rel.n_attrs());
     cx.observer.on_phase_start("keys");
@@ -481,7 +534,7 @@ pub fn keys(
         let mut oracle = FaultyOracle::new(NonSuperkeyOracle::new(rel), &spec);
         match dualize_advance_try_ctl(
             &mut oracle,
-            TrAlgorithm::Berge,
+            algo,
             &DualizeAdvanceConfig::default(),
             1,
             &cx.ctl(),
@@ -505,7 +558,7 @@ pub fn keys(
             }
         }
     } else {
-        (minimal_keys_via_agree_sets(rel, TrAlgorithm::Berge), None)
+        (minimal_keys_via_agree_sets(rel, algo), None)
     };
     cx.observer.on_phase_end("keys");
     if let Some(r) = reason {
@@ -527,7 +580,7 @@ pub fn keys(
         out!(body, "\nMinimal functional dependencies:");
         let mut any = false;
         for target in 0..rel.n_attrs() {
-            let d = minimal_fd_lhs_via_agree_sets(rel, target, TrAlgorithm::Berge);
+            let d = minimal_fd_lhs_via_agree_sets(rel, target, algo);
             for lhs in &d.minimal_lhs {
                 any = true;
                 out!(
@@ -702,5 +755,275 @@ pub fn verify_dual_pair(
             reason: None,
             not_dual: true,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dualminer_core::border::positive_border;
+    use dualminer_fdep::agree::maximal_agree_sets;
+    use dualminer_mining::gen::{quest, random_antichain, QuestParams};
+    use dualminer_obs::{Budget, NoopObserver};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    /// Runs `f` under a fresh context on `meter`, returning its result and
+    /// the stats line the run would print.
+    fn with_cx<T>(meter: &Meter, f: impl FnOnce(&ExecCtx<'_>) -> T) -> (T, String) {
+        let stats = StatsCollector::new();
+        let note = |_: &str| {};
+        let cx = ExecCtx {
+            meter,
+            observer: &stats,
+            stats: &stats,
+            note: &note,
+            threads: 1,
+        };
+        let out = f(&cx);
+        (out, stats.to_json(meter, None))
+    }
+
+    fn quest_db(seed: u64, rows: usize) -> TransactionDb {
+        let params = QuestParams {
+            n_items: 16,
+            n_transactions: rows,
+            avg_transaction_size: 7,
+            avg_pattern_size: 4,
+            n_patterns: 10,
+            corruption: 0.3,
+        };
+        quest(&params, &mut StdRng::seed_from_u64(seed))
+    }
+
+    const MAXIMAL: MineOpts = MineOpts {
+        rules: None,
+        maximal: true,
+    };
+
+    /// The body with its verdict replaced by the one Corollary 4 gives
+    /// when its dualization is forced through Berge.
+    fn with_berge_verdict(
+        body: &str,
+        u: &Universe,
+        db: &TransactionDb,
+        fs: &FrequentSets,
+    ) -> String {
+        let check = verify_maxth(
+            &mut FrequencyOracle::new(db, fs.min_support()),
+            &fs.maximal,
+            TrAlgorithm::Berge,
+        );
+        let mut expected = body[..body.find("Verified: ").expect("a verdict")].to_string();
+        render_verdict(&mut expected, u, &check, &fs.negative_border);
+        expected
+    }
+
+    /// Whether the planner sends the self-check's dualization anywhere
+    /// but Berge, i.e. whether the instance tests the planner route.
+    fn planned_off_berge(fs: &FrequentSets) -> bool {
+        let comps = fs.maximal.iter().map(AttrSet::complement).collect();
+        let h = Hypergraph::from_edges(fs.n_items(), comps).unwrap();
+        plan::plan(&h).backend != TrAlgorithm::Berge
+    }
+
+    #[test]
+    fn selfcheck_through_the_planner_matches_forced_berge() {
+        let u = Universe::letters(16);
+        let mut off_berge = 0;
+        for seed in [3, 11] {
+            let db = quest_db(seed, 300);
+            for sigma in [6, 15, 40, 90] {
+                let meter = Meter::unlimited();
+                let ((out, fs), stats) = with_cx(&meter, |cx| {
+                    mine(&u, &db, sigma, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+                });
+                assert!(out.body.contains("Verified: true ("), "σ={sigma}");
+                let q = fs.maximal.len() + fs.negative_border.len();
+                assert!(out.body.contains(&format!("({q} oracle queries")));
+                assert_eq!(out.body, with_berge_verdict(&out.body, &u, &db, &fs));
+                assert!(stats.contains(r#"{"name":"selfcheck","ms":"#), "{stats}");
+                off_berge += usize::from(planned_off_berge(&fs));
+            }
+        }
+        assert!(off_berge > 0, "no instance left the Berge rules");
+    }
+
+    #[test]
+    fn incremental_selfcheck_matches_cold_and_forced_berge() {
+        let u = Universe::letters(16);
+        let all = quest_db(5, 360);
+        let (base_rows, new_rows) = all.rows().split_at(300);
+        let base = TransactionDb::new(16, base_rows.to_vec());
+        for sigma in [8, 20, 50] {
+            let meter = Meter::unlimited();
+            let ((_, old), _) = with_cx(&meter, |cx| {
+                mine(&u, &base, sigma, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+            });
+            let ((inc, update), stats) = with_cx(&meter, |cx| {
+                mine_incremental(&u, &base, &old, new_rows.to_vec(), &MAXIMAL, cx)
+            });
+            let ((cold, _), _) = with_cx(&meter, |cx| {
+                mine(&u, &all, sigma, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+            });
+            assert_eq!(inc.body, cold.body, "σ={sigma}");
+            assert!(inc.body.contains("Verified: true ("));
+            let expected = with_berge_verdict(&inc.body, &u, &update.db, &update.frequent);
+            assert_eq!(inc.body, expected);
+            assert!(stats.contains(r#"{"name":"selfcheck","ms":"#), "{stats}");
+        }
+    }
+
+    #[test]
+    fn budget_tripped_runs_print_not_verified() {
+        let u = Universe::letters(16);
+        let db = quest_db(3, 300);
+        let budget = Budget {
+            max_queries: Some(40),
+            ..Budget::UNLIMITED
+        };
+        let meter = budget.start();
+        let ((out, _), stats) = with_cx(&meter, |cx| {
+            mine(&u, &db, 6, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+        });
+        assert!(out.reason.is_some());
+        assert!(out.body.contains("(not verified: run was cut short"));
+        assert!(!out.body.contains("Verified:"));
+        assert!(!stats.contains("selfcheck"), "{stats}");
+
+        // The incremental route, tripped on its own budget.
+        let (base_rows, new_rows) = db.rows().split_at(250);
+        let base = TransactionDb::new(16, base_rows.to_vec());
+        let ((_, old), _) = with_cx(&Meter::unlimited(), |cx| {
+            mine(&u, &base, 6, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+        });
+        let meter = budget.start();
+        let ((inc, _), _) = with_cx(&meter, |cx| {
+            mine_incremental(&u, &base, &old, new_rows.to_vec(), &MAXIMAL, cx)
+        });
+        assert!(inc.reason.is_some());
+        assert!(inc.body.contains("(not verified: run was cut short"));
+    }
+
+    fn render(u: &Universe, db: &TransactionDb, fs: &FrequentSets) -> String {
+        let sigma = fs.min_support();
+        render_mine(u, db, sigma, fs, &MAXIMAL, None, &NoopObserver)
+    }
+
+    #[test]
+    fn tampered_maxth_is_not_verified() {
+        let u = Universe::letters(16);
+        let db = quest_db(3, 300);
+        let meter = Meter::unlimited();
+        let ((_, fs), _) = with_cx(&meter, |cx| {
+            mine(&u, &db, 15, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+        });
+        assert!(render(&u, &db, &fs).contains("Verified: true ("));
+
+        // Dropping a maximal set leaves it frequent but outside the claim:
+        // a Theorem 7 border set under it is frequent.
+        let mut dropped = fs.clone();
+        dropped.maximal.pop();
+        let body = render(&u, &db, &dropped);
+        assert!(body.contains("Verified: false ("), "{body}");
+        assert!(body.contains("  counterexample: "), "{body}");
+
+        // Growing a maximal set by an item (keeping an antichain) makes
+        // it infrequent: the check fails on the claim itself.
+        let grown = (0..16)
+            .find_map(|i| {
+                let mut g = fs.clone();
+                let last = g.maximal.last_mut().unwrap();
+                if last.contains(i) {
+                    return None;
+                }
+                last.insert(i);
+                (positive_border(&g.maximal).len() == g.maximal.len()).then_some(g)
+            })
+            .expect("some item keeps the claim an antichain");
+        let body = render(&u, &db, &grown);
+        let claim = u.display(grown.maximal.last().unwrap());
+        assert!(body.contains("Verified: false ("), "{body}");
+        assert!(
+            body.contains(&format!("  counterexample: {claim}\n")),
+            "{body}"
+        );
+    }
+
+    #[test]
+    fn tampered_negative_border_is_not_verified() {
+        let u = Universe::letters(16);
+        let db = quest_db(11, 300);
+        let meter = Meter::unlimited();
+        let ((_, fs), _) = with_cx(&meter, |cx| {
+            mine(&u, &db, 15, &MAXIMAL, &RunOpts::default(), cx).unwrap()
+        });
+
+        let mut missing = fs.clone();
+        let gone = missing.negative_border.remove(0);
+        let body = render(&u, &db, &missing);
+        let line = format!(
+            "  negative border differs from Theorem 7's at {}\n",
+            u.display(&gone)
+        );
+        assert!(body.contains("Verified: false ("), "{body}");
+        assert!(body.contains(&line), "{body}");
+        // The oracle half of the check still passes: only the printed
+        // certificate was wrong.
+        assert!(!body.contains("counterexample"), "{body}");
+
+        let mut extra = fs.clone();
+        let stray = fs.maximal[0].clone();
+        extra.negative_border.push(stray.clone());
+        extra.negative_border.sort_by(|a, b| a.cmp_card_lex(b));
+        let body = render(&u, &db, &extra);
+        assert!(body.contains("Verified: false ("), "{body}");
+        assert!(body.contains(&format!(
+            "differs from Theorem 7's at {}\n",
+            u.display(&stray)
+        )));
+    }
+
+    /// An Armstrong relation whose maximal agree sets are a seeded random
+    /// antichain of `m` sets over `n` attributes.
+    fn armstrong(seed: u64, n: usize, m: usize) -> Relation {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plants = random_antichain(n, m, n / 2, &mut rng);
+        Relation::armstrong(n, &plants)
+    }
+
+    fn keys_body(rel: &Relation, run: &RunOpts, algo: TrAlgorithm) -> String {
+        let u = Universe::letters(rel.n_attrs());
+        let meter = Meter::unlimited();
+        let (out, _) = with_cx(&meter, |cx| keys_with(&u, rel, true, run, cx, algo));
+        out.unwrap().body
+    }
+
+    #[test]
+    fn keys_and_fds_under_the_planner_match_forced_berge() {
+        let fault_tolerant = RunOpts {
+            retry: 1,
+            ..RunOpts::default()
+        };
+        let mut off_berge = 0;
+        for seed in 0..6 {
+            let n = if seed % 2 == 0 { 10 } else { 16 };
+            let rel = armstrong(seed, n, 18);
+            let comps = maximal_agree_sets(&rel)
+                .iter()
+                .map(AttrSet::complement)
+                .collect();
+            let h = Hypergraph::from_edges(n, comps).unwrap();
+            off_berge += usize::from(plan::plan(&h).backend != TrAlgorithm::Berge);
+            for run in [RunOpts::default(), fault_tolerant.clone()] {
+                let auto = keys_body(&rel, &run, TrAlgorithm::Auto);
+                assert_eq!(
+                    auto,
+                    keys_body(&rel, &run, TrAlgorithm::Berge),
+                    "seed {seed}"
+                );
+                assert!(auto.contains("Minimal keys:"));
+            }
+        }
+        assert!(off_berge > 0, "no relation left the Berge rules");
     }
 }

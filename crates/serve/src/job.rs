@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use dualminer_hypergraph::TrAlgorithm;
+use dualminer_hypergraph::{plan, TrAlgorithm};
 
 /// Budget and observability options shared by every subcommand and every
 /// daemon job.
@@ -93,18 +93,11 @@ impl Support {
 /// Parses a `--algo` / `"algo"` value. Unknown names get an error
 /// listing every accepted spelling.
 pub fn parse_algo(s: &str) -> Result<TrAlgorithm, String> {
-    match s {
-        "auto" => Ok(TrAlgorithm::Auto),
-        "berge" => Ok(TrAlgorithm::Berge),
-        "fk" => Ok(TrAlgorithm::FkJointGeneration),
-        "levelwise" => Ok(TrAlgorithm::LevelwiseLargeEdges),
-        "mmcs" => Ok(TrAlgorithm::Mmcs),
-        "mu-mmcs" => Ok(TrAlgorithm::MuMmcs),
-        "egm" => Ok(TrAlgorithm::Egm),
-        other => Err(format!(
-            "unknown --algo value {other:?} (want auto, berge, fk, levelwise, mmcs, mu-mmcs, or egm)"
-        )),
-    }
+    plan::algo_from_name(s).ok_or_else(|| {
+        format!(
+            "unknown --algo value {s:?} (want auto, berge, fk, levelwise, mmcs, mu-mmcs, or egm)"
+        )
+    })
 }
 
 /// Parses a duration: a number with an optional unit suffix (`ns`, `us`,

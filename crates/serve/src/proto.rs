@@ -17,7 +17,7 @@
 //! `StatsCollector` — is embedded as an escaped JSON string field, not as
 //! a nested object.
 
-use dualminer_hypergraph::TrAlgorithm;
+use dualminer_hypergraph::{plan, TrAlgorithm};
 use dualminer_obs::{BudgetReason, FaultSpec, Json};
 
 use crate::job::{self, RunOpts, Support};
@@ -376,7 +376,7 @@ impl JobRequest {
                 h.update(&[u8::from(*maximal)]);
                 h.update_u64(*segment_rows as u64);
             }
-            OpKind::Transversals { algo } => tag(&mut h, plan_algo_tag(*algo)),
+            OpKind::Transversals { algo } => tag(&mut h, plan::algo_name(*algo)),
             OpKind::Keys { fds } => h.update(&[u8::from(*fds)]),
             OpKind::VerifyDual => {}
         }
@@ -398,18 +398,6 @@ impl JobRequest {
         h.update(&[u8::from(run.resume)]);
         h.update_u64(run.grain.map_or(u64::MAX, |g| g as u64));
         h.digest()
-    }
-}
-
-fn plan_algo_tag(algo: TrAlgorithm) -> &'static str {
-    match algo {
-        TrAlgorithm::Auto => "auto",
-        TrAlgorithm::Berge => "berge",
-        TrAlgorithm::FkJointGeneration => "fk",
-        TrAlgorithm::LevelwiseLargeEdges => "levelwise",
-        TrAlgorithm::Mmcs => "mmcs",
-        TrAlgorithm::MuMmcs => "mu-mmcs",
-        TrAlgorithm::Egm => "egm",
     }
 }
 
