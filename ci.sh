@@ -10,6 +10,11 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# The benchmark harness builds against the library API and runs its own
+# self-tests, so an API change that breaks perfbench fails here rather
+# than in a benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Bench smoke: all bench targets compile, and two microbench groups run
 # end-to-end (single fast ids, so the gate stays quick). The settrie id
 # also cross-checks trie-vs-pairwise minimization agreement at startup.

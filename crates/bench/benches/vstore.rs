@@ -10,8 +10,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_bitset::AttrSet;
-use dualminer_mining::apriori::apriori_par_ctl_cfg;
+use dualminer_mining::apriori::apriori_par_ctl;
 use dualminer_mining::gen::{quest, QuestParams};
+use dualminer_mining::seg::apriori_par_seg_ctl;
 use dualminer_mining::{EclatCfg, TransactionDb};
 use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::rngs::StdRng;
@@ -74,7 +75,9 @@ fn bench_representation_sweep(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let meter = Meter::unlimited();
-                apriori_par_ctl_cfg(&db, sigma, 1, &RunCtl::new(&meter, &NoopObserver), &cfg)
+                let ctl = RunCtl::new(&meter, &NoopObserver);
+                apriori_par_seg_ctl(&db, sigma, 1, &ctl, None, None, &cfg)
+                    .unwrap()
                     .expect_complete()
             })
         });
@@ -99,14 +102,8 @@ fn bench_segment_sweep(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let meter = Meter::unlimited();
-                    apriori_par_ctl_cfg(
-                        &db,
-                        sigma,
-                        1,
-                        &RunCtl::new(&meter, &NoopObserver),
-                        &EclatCfg::default(),
-                    )
-                    .expect_complete()
+                    apriori_par_ctl(&db, sigma, 1, &RunCtl::new(&meter, &NoopObserver))
+                        .expect_complete()
                 })
             },
         );

@@ -33,11 +33,17 @@ pub const LEVELWISE_KIND: &str = "levelwise";
 /// Envelope `kind` for Dualize-and-Advance checkpoints.
 pub const DUALIZE_ADVANCE_KIND: &str = "dualize-advance";
 
-fn set_to_json(s: &AttrSet) -> Json {
+// JSON field helpers, shared with the payloads other crates define (the
+// mining crate's segment-engine state): one wire format for sets and
+// counts, and one set of `Corrupt` error texts.
+
+/// A set as its ascending element indices.
+pub fn set_to_json(s: &AttrSet) -> Json {
     Json::Arr(s.iter().map(|i| Json::uint(i as u64)).collect())
 }
 
-fn set_from_json(v: &Json, n: usize) -> Result<AttrSet, CheckpointError> {
+/// Decodes a [`set_to_json`] array over a universe of size `n`.
+pub fn set_from_json(v: &Json, n: usize) -> Result<AttrSet, CheckpointError> {
     let items = v
         .as_arr()
         .ok_or_else(|| CheckpointError::Corrupt("set is not an array".into()))?;
@@ -69,15 +75,30 @@ fn family_from_json(v: &Json, n: usize) -> Result<Vec<AttrSet>, CheckpointError>
         .collect()
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
+/// The field `key` of an object, which must be present.
+pub fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
     doc.get(key)
         .ok_or_else(|| CheckpointError::Corrupt(format!("missing field {key:?}")))
 }
 
-fn uint_field(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
+/// The count field `key` of an object.
+pub fn uint_field(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
     field(doc, key)?
         .as_uint()
         .ok_or_else(|| CheckpointError::Corrupt(format!("field {key:?} is not a count")))
+}
+
+/// The field `key` of an object as an array of counts.
+pub fn uints_field(doc: &Json, key: &str) -> Result<Vec<u64>, CheckpointError> {
+    field(doc, key)?
+        .as_arr()
+        .ok_or_else(|| CheckpointError::Corrupt(format!("field {key:?} is not an array")))?
+        .iter()
+        .map(|v| {
+            v.as_uint()
+                .ok_or_else(|| CheckpointError::Corrupt(format!("{key} element is not a count")))
+        })
+        .collect()
 }
 
 /// A count field absent from checkpoints written before the field

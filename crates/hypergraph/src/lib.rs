@@ -79,7 +79,7 @@ pub mod plan;
 pub mod verify;
 
 pub use graph::{EdgeError, Hypergraph};
-pub use plan::{dualize, dualize_ctl, dualize_threads};
+pub use plan::dualize;
 pub use verify::verify_dual;
 
 use dualminer_bitset::{AttrSet, SetTrie};

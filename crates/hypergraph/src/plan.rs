@@ -23,7 +23,7 @@
 //! any dualization. Every backend returns the identical canonical
 //! hypergraph, so the choice never changes results, only running time.
 
-use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
+use dualminer_obs::{Outcome, RunCtl};
 
 use crate::{berge, egm, joint_gen, levelwise_tr, mmcs, mu_mmcs, Hypergraph, TrAlgorithm};
 
@@ -194,22 +194,12 @@ pub fn algo_name(algo: TrAlgorithm) -> &'static str {
 ///
 /// This is the preferred general entry point: identical output to every
 /// explicit backend (canonical edge order, same minimal-transversal set),
-/// with the engine chosen from the instance's shape.
+/// with the engine chosen from the instance's shape. With a thread budget,
+/// or under a budget and an observer, call
+/// [`crate::transversals_with_threads`] or [`crate::transversals_with_ctl`]
+/// with [`TrAlgorithm::Auto`].
 pub fn dualize(h: &Hypergraph) -> Hypergraph {
-    dualize_threads(h, 1)
-}
-
-/// [`dualize`] with a thread budget (`0` = available parallelism).
-pub fn dualize_threads(h: &Hypergraph, threads: usize) -> Hypergraph {
-    let meter = Meter::unlimited();
-    dualize_ctl(h, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`dualize_threads`] under a budget and an observer. Accounting follows
-/// the chosen backend's `_ctl` contract; the choice is deterministic in
-/// the instance, so metered counts stay schedule-invariant.
-pub fn dualize_ctl(h: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
-    dualize_ctl_report(h, TrAlgorithm::Auto, threads, ctl).0
+    crate::transversals_with(h, TrAlgorithm::Auto)
 }
 
 /// Runs `algo` (resolving [`TrAlgorithm::Auto`] through [`plan`]) and
@@ -281,6 +271,7 @@ pub fn dualize_ctl_report(
 mod tests {
     use super::*;
     use crate::generators;
+    use dualminer_obs::{Meter, NoopObserver};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -328,7 +319,10 @@ mod tests {
         for h in instances {
             assert_eq!(dualize(&h), berge::transversals(&h), "{h:?}");
             for threads in [2, 8] {
-                assert_eq!(dualize_threads(&h, threads), berge::transversals(&h));
+                assert_eq!(
+                    crate::transversals_with_threads(&h, TrAlgorithm::Auto, threads),
+                    berge::transversals(&h)
+                );
             }
         }
     }

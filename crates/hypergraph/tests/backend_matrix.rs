@@ -9,8 +9,8 @@
 
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::{
-    berge, dualize, dualize_threads, egm, generators, minimize_family, mu_mmcs, naive,
-    transversals_with, verify_dual, Hypergraph, TrAlgorithm,
+    berge, dualize, egm, generators, minimize_family, mu_mmcs, naive, transversals_with,
+    transversals_with_threads, verify_dual, Hypergraph, TrAlgorithm,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -67,7 +67,7 @@ proptest! {
                 "egm, threads={}", threads
             );
             prop_assert_eq!(
-                dualize_threads(&h, threads), seq_auto.clone(),
+                transversals_with_threads(&h, TrAlgorithm::Auto, threads), seq_auto.clone(),
                 "auto, threads={}", threads
             );
         }
@@ -150,7 +150,7 @@ fn backend_matrix_across_universes_and_threads() {
                     "egm: {name} n={n} threads={threads}"
                 );
                 assert_eq!(
-                    dualize_threads(&h, threads),
+                    transversals_with_threads(&h, TrAlgorithm::Auto, threads),
                     reference,
                     "auto: {name} n={n} threads={threads}"
                 );

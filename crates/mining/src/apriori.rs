@@ -1,19 +1,11 @@
 //! Apriori: the specialized levelwise frequent-set miner.
 //!
-//! Algorithm 9 instantiated for frequent sets (\[2, 20\] in the paper), with
-//! the two standard systems refinements the generic oracle version cannot
-//! express:
-//!
-//! * supports are *recorded*, not just thresholded — association-rule
-//!   generation needs them (Section 2's closing remark);
-//! * support counting reuses the parent's tid structure (Eclat/dEclat): a
-//!   level `i+1` candidate is the union of its generating parent and its
-//!   join partner, so its support is one streaming AND (tidsets) or ANDNOT
-//!   (diffsets) pass over the segmented vertical store instead of `i+1`
-//!   intersections — see [`crate::vstore`] for the representation rules.
-//!
-//! The query structure is *identical* to the generic
-//! [`dualminer_core::levelwise::levelwise`] run against a
+//! Algorithm 9 instantiated for frequent sets (\[2, 20\] in the paper).
+//! This module holds the mined collection ([`FrequentSets`]) and the
+//! plain entry points; the miner itself is the one engine in
+//! [`crate::seg`], run here without a checkpoint sink so that each level
+//! is counted in a single range. Its query structure is *identical* to
+//! the generic [`dualminer_core::levelwise::levelwise`] run against a
 //! [`crate::FrequencyOracle`] — the unit tests assert equality of theory,
 //! borders, and candidate counts — so every Theorem 10/12 statement about
 //! the generic algorithm applies verbatim to this miner.
@@ -21,11 +13,11 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use dualminer_bitset::{AttrSet, SetTrie};
-use dualminer_core::candidates::prefix_join_batch;
+use dualminer_bitset::AttrSet;
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
-use crate::vstore::{EclatCfg, EclatNode};
+use crate::seg::apriori_par_seg_ctl;
+use crate::vstore::EclatCfg;
 use crate::TransactionDb;
 
 /// A mined collection of frequent itemsets with their supports.
@@ -174,283 +166,28 @@ pub fn apriori_par(db: &TransactionDb, min_support: usize, threads: usize) -> Fr
     .expect_complete()
 }
 
-/// The maximal family of a mined (downward-closed) itemset collection, by
-/// proper-superset queries against a trie of the members.
-fn trie_maximal(itemsets: &[(AttrSet, usize)]) -> Vec<AttrSet> {
-    let mut member_trie = SetTrie::new();
-    for (s, _) in itemsets {
-        member_trie.insert(s);
-    }
-    itemsets
-        .iter()
-        .map(|(s, _)| s)
-        .filter(|s| !member_trie.has_proper_superset_of(s))
-        .cloned()
-        .collect()
-}
-
-/// Derives the maximal family, sorts the negative border, and assembles the
-/// result — shared by complete and budget-exceeded exits so partial results
-/// carry the maximal sets *of the mined prefix*.
-pub(crate) fn finish_sets(
-    db: &TransactionDb,
-    min_support: usize,
-    itemsets: Vec<(AttrSet, usize)>,
-    negative: Vec<AttrSet>,
-    candidates_per_level: Vec<usize>,
-) -> FrequentSets {
-    // Maximal iff no proper frequent superset exists. The mined prefix is
-    // closed under immediate subsets (candidate pruning guarantees it), so
-    // the proper-superset trie query agrees with the immediate-superset
-    // scan — without cloning and hashing n supersets per itemset.
-    let maximal = trie_maximal(&itemsets);
-    finish_sets_with_maximal(
-        db,
-        min_support,
-        itemsets,
-        maximal,
-        negative,
-        candidates_per_level,
-    )
-}
-
-/// [`finish_sets`] for callers that already know the maximal family —
-/// the in-memory miner derives it incrementally from its per-level
-/// subset marks instead of paying for a trie over the whole collection.
-pub(crate) fn finish_sets_with_maximal(
-    db: &TransactionDb,
-    min_support: usize,
-    itemsets: Vec<(AttrSet, usize)>,
-    maximal: Vec<AttrSet>,
-    mut negative: Vec<AttrSet>,
-    candidates_per_level: Vec<usize>,
-) -> FrequentSets {
-    debug_assert_eq!(
-        maximal,
-        trie_maximal(&itemsets),
-        "incremental maximal marking must agree with the trie scan"
-    );
-    negative.sort_by(|a, b| a.cmp_card_lex(b));
-
-    FrequentSets {
-        n_items: db.n_items(),
-        min_support,
-        n_rows: db.n_rows(),
-        itemsets,
-        maximal,
-        negative_border: negative,
-        candidates_per_level,
-        support_index: OnceLock::new(),
-    }
-}
-
-/// [`apriori_par`] under a budget and an observer.
-///
-/// Each candidate support count records one metered query (matching
-/// [`FrequentSets::queries`] on a complete run), and each completed level
-/// fires `on_level` with its candidate/frequent counts. Workers poll the
-/// budget per candidate; on a trip the merged verdicts are truncated at
-/// the first skipped candidate, so the partial [`FrequentSets`] holds a
-/// *genuine prefix* of the sequential enumeration — every reported
-/// itemset is truly frequent with its exact support, and `maximal` is the
-/// maximal family of that prefix.
+/// [`apriori_par`] under a budget and an observer: the sink-less
+/// schedule of [`apriori_par_seg_ctl`], which counts each level in one
+/// range. Each candidate support count records one metered query
+/// (matching [`FrequentSets::queries`] on a complete run), and on a trip
+/// the partial [`FrequentSets`] holds a *genuine prefix* of the
+/// sequential enumeration with exact supports.
 pub fn apriori_par_ctl(
     db: &TransactionDb,
     min_support: usize,
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> Outcome<FrequentSets> {
-    apriori_par_ctl_cfg(db, min_support, threads, ctl, &EclatCfg::default())
-}
-
-/// [`apriori_par_ctl`] with an explicit tidset↔diffset switching
-/// configuration. The configuration affects only the shape of the
-/// intermediate tid structures — every support is exact either way, so
-/// output is bit-identical across settings (the equivalence tests run
-/// [`EclatCfg::tidset_only`] against [`EclatCfg::diffset_always`]).
-pub fn apriori_par_ctl_cfg(
-    db: &TransactionDb,
-    min_support: usize,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-    cfg: &EclatCfg,
-) -> Outcome<FrequentSets> {
-    assert!(min_support > 0, "min_support must be positive");
-    let n = db.n_items();
-    let mut itemsets: Vec<(AttrSet, usize)> = Vec::new();
-    let mut negative: Vec<AttrSet> = Vec::new();
-    let mut candidates_per_level: Vec<usize> = Vec::new();
-
-    if let Some(reason) = ctl.meter.exceeded() {
-        return Outcome::BudgetExceeded {
-            partial: finish_sets(db, min_support, itemsets, negative, candidates_per_level),
-            reason,
-        };
-    }
-
-    // Level 0: ∅ with support |r|.
-    candidates_per_level.push(1);
-    ctl.meter.record_query();
-    let empty_support = db.n_rows();
-    let empty_frequent = empty_support >= min_support;
-    ctl.observer.on_level(0, 1, usize::from(empty_frequent));
-    if !empty_frequent {
-        return Outcome::Complete(FrequentSets {
-            n_items: n,
-            min_support,
-            n_rows: db.n_rows(),
-            itemsets,
-            maximal: vec![],
-            negative_border: vec![AttrSet::empty(n)],
-            candidates_per_level,
-            support_index: OnceLock::new(),
-        });
-    }
-    itemsets.push((AttrSet::empty(n), empty_support));
-
-    // Level entries carry (sorted index vector, dEclat node). A level-0
-    // placeholder node is never read: cardinality-1 candidates are item
-    // columns, gathered straight from the store.
-    let vstore = db.vstore();
-    let mut level: Vec<(Vec<usize>, Option<EclatNode>)> = vec![(vec![], None)];
-    // The maximal family accrues level by level: a member is maximal iff
-    // no frequent immediate superset marks it while its extensions are
-    // counted (the mined family is downward closed, so immediate
-    // supersets decide proper-superset-freeness). `level_start` indexes
-    // the current level's first member in `itemsets` — level and itemsets
-    // push in lockstep, so level[m]'s set is itemsets[level_start + m].
-    let mut maximal: Vec<AttrSet> = Vec::new();
-    let mut level_start = 0usize;
-    let mut card = 0usize;
-    while !level.is_empty() && card < n {
-        card += 1;
-        // Shared prefix-join engine; the flat batch carries, per
-        // candidate, its `(parent, partner)` level indices (the dEclat
-        // sibling reuse below) and the level indices of its remaining
-        // immediate subsets (the maximal-family marking below).
-        let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
-
-        // Count supports for the whole candidate batch in parallel.
-        // Counting is non-materializing (`count_pair` is one contiguous
-        // read-only AND/ANDNOT-popcount over the sibling structures); a
-        // child node is materialized only for candidates that pass the
-        // threshold — the ones the next level keeps. `None` marks a
-        // candidate skipped because the budget tripped.
-        let level_ref = &level;
-        let batch_ref = &batch;
-        let counted: Vec<Option<(AttrSet, usize, Option<EclatNode>)>> =
-            dualminer_parallel::par_map(threads, batch.pairs(), |idx, &(p, q)| {
-                if ctl.meter.exceeded().is_some() {
-                    return None;
-                }
-                ctl.meter.record_query();
-                let cand = batch_ref.cand(idx);
-                let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-                let (support, node) = if card == 1 {
-                    let item = cand[0];
-                    let support = vstore.item_support(item);
-                    let node =
-                        (support >= min_support).then(|| vstore.item_node(item, support, cfg));
-                    (support, node)
-                } else {
-                    let x = level_ref[p as usize]
-                        .1
-                        .as_ref()
-                        .expect("level ≥ 1 has nodes");
-                    let y = level_ref[q as usize]
-                        .1
-                        .as_ref()
-                        .expect("level ≥ 1 has nodes");
-                    let support = vstore.count_pair(x, y);
-                    let node =
-                        (support >= min_support).then(|| vstore.make_child(x, y, support, cfg));
-                    (support, node)
-                };
-                Some((cand_set, support, node))
-            });
-
-        let next_start = itemsets.len();
-        let mut marks = vec![false; level.len()];
-        let mut next: Vec<(Vec<usize>, Option<EclatNode>)> = Vec::new();
-        let mut tested = 0usize;
-        let mut frequent_count = 0usize;
-        let mut tripped = false;
-        for (idx, verdict) in counted.into_iter().enumerate() {
-            let Some((cand_set, support, tids)) = verdict else {
-                tripped = true;
-                break;
-            };
-            tested += 1;
-            match tids {
-                Some(cand_node) => {
-                    frequent_count += 1;
-                    // A frequent candidate makes every immediate subset
-                    // non-maximal — and the batch already carries all of
-                    // their level indices: parent, join partner, and the
-                    // prefix-dropping subsets the prune step located.
-                    let (p, q) = batch.pair(idx);
-                    marks[p] = true;
-                    marks[q] = true;
-                    for &m in batch.drop_subsets(idx) {
-                        marks[m as usize] = true;
-                    }
-                    itemsets.push((cand_set, support));
-                    next.push((batch.cand(idx).to_vec(), Some(cand_node)));
-                }
-                None => negative.push(cand_set),
-            }
-        }
-        if tested > 0 {
-            candidates_per_level.push(tested);
-        }
-        ctl.observer.on_level(card, tested, frequent_count);
-        if tripped {
-            // The prefix's maximal family: unmarked members of the level
-            // being extended, then every frequent set already emitted at
-            // this level (none of *their* supersets were mined).
-            for (m, &marked) in marks.iter().enumerate() {
-                if !marked {
-                    maximal.push(itemsets[level_start + m].0.clone());
-                }
-            }
-            maximal.extend(itemsets[next_start..].iter().map(|(s, _)| s.clone()));
-            let reason = ctl
-                .meter
-                .exceeded()
-                .unwrap_or(dualminer_obs::BudgetReason::Cancelled);
-            return Outcome::BudgetExceeded {
-                partial: finish_sets_with_maximal(
-                    db,
-                    min_support,
-                    itemsets,
-                    maximal,
-                    negative,
-                    candidates_per_level,
-                ),
-                reason,
-            };
-        }
-        // This level's extensions are all counted: unmarked members are
-        // maximal for good.
-        for (m, &marked) in marks.iter().enumerate() {
-            if !marked {
-                maximal.push(itemsets[level_start + m].0.clone());
-            }
-        }
-        level = next;
-        level_start = next_start;
-    }
-
-    // Members of the final level were never extended: all maximal.
-    maximal.extend(itemsets[level_start..].iter().map(|(s, _)| s.clone()));
-    Outcome::Complete(finish_sets_with_maximal(
+    apriori_par_seg_ctl(
         db,
         min_support,
-        itemsets,
-        maximal,
-        negative,
-        candidates_per_level,
-    ))
+        threads,
+        ctl,
+        None,
+        None,
+        &EclatCfg::default(),
+    )
+    .expect("without a checkpoint sink or resume state the miner cannot fail")
 }
 
 #[cfg(test)]

@@ -1,39 +1,61 @@
-//! The segment-major checkpointed Apriori engine.
+//! The Apriori engine: Algorithm 9 for frequent sets over the segmented
+//! vertical store, with optional checkpointing between row segments.
 //!
-//! The plain miner ([`crate::apriori::apriori_par_ctl`]) walks
-//! *candidate-major*: each candidate's support is one streaming pass over
-//! every row segment, and the only safe points are level boundaries. This
-//! engine transposes the loop to *segment-major*: for the whole candidate
-//! batch of a level it accumulates `|t(c) ∩ segment_s|` one segment `s`
-//! at a time, which creates a safe point **after every segment** — on a
-//! database whose row count dwarfs its level widths (the out-of-core
-//! regime `--segment-rows` targets), a crash loses at most one segment
-//! pass instead of a whole level.
+//! Supports are *recorded*, not just thresholded (association rules need
+//! them), and counting reuses the parent's tid structure (Eclat/dEclat):
+//! a level `i+1` candidate is the union of its generating parent and its
+//! join partner, so its support is one streaming AND (tidsets) or ANDNOT
+//! (diffsets) pass instead of `i+1` intersections — see [`crate::vstore`].
+//! The query structure is that of the generic
+//! [`dualminer_core::levelwise::levelwise`] run against a
+//! [`crate::FrequencyOracle`], so every Theorem 10/12 statement about the
+//! generic algorithm applies verbatim.
+//!
+//! **The range schedule.** Each level counts its candidate batch over a
+//! list of contiguous segment ranges, chosen from the caller's arguments:
+//!
+//! * without a checkpoint sink, one range from the resume cursor (`0` on a
+//!   fresh run) to the end — one contiguous AND/ANDNOT-popcount per
+//!   candidate ([`crate::VStore::count_pair_range`]);
+//! * with a sink, one range per segment and a safe point after each, so on
+//!   a database whose row count dwarfs its level widths (the out-of-core
+//!   regime `--segment-rows` targets) a crash loses at most one segment
+//!   pass instead of a whole level.
+//!
+//! Counts accumulate in the deterministic prefix-join order. A candidate
+//! records its query, and may be emitted, when its count completes in its
+//! level's final range; that pass also materializes the child node of
+//! every survivor in the worker that counted it.
 //!
 //! **Representation-free state.** The checkpoint payload stores only
 //! candidate-level facts: the theory with supports, the negative border,
 //! per-level candidate counts, the query total, and (mid-level) the
 //! per-candidate partial counts with the segment cursor. Tidset/diffset
-//! choices are deliberately *not* recorded: per-segment counts are defined
-//! as `|t(c) ∩ segment|` (see [`VStore::count_pair_seg`]), which both
-//! representations compute exactly, so a resumed run may rebuild its
-//! frontier as plain tidsets ([`VStore::tidset_node`]) and continue the
-//! accumulation byte-for-byte.
+//! choices are deliberately *not* recorded: a range count is
+//! `|t(c) ∩ segments[range]|`, which both representations compute
+//! exactly, so a resumed run may rebuild its frontier as plain tidsets
+//! ([`crate::VStore::tidset_node`]) and continue the accumulation
+//! byte-for-byte.
 //!
 //! Because every safe point is a state the from-scratch run passes through
 //! with the same `(collections, partial counts, queries)`, a resumed run
 //! replays the remaining suffix verbatim: `Th`/`MTh`/`Bd⁻`,
 //! `candidates_per_level`, supports, and the Theorem 10 query totals come
 //! out bit-identical to an uninterrupted run — for every segment size,
-//! thread count, and [`EclatCfg`] (asserted by the tests below).
+//! thread count, schedule and [`EclatCfg`] (asserted by the tests below).
 
-use dualminer_bitset::AttrSet;
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use dualminer_bitset::{AttrSet, SetTrie};
 use dualminer_core::candidates::prefix_join_batch;
-use dualminer_core::checkpoint::CheckpointCfg;
+use dualminer_core::checkpoint::{
+    field, set_from_json, set_to_json, uint_field, uints_field, CheckpointCfg,
+};
 use dualminer_obs::checkpoint::CheckpointError;
-use dualminer_obs::{Json, Outcome, RunCtl, RunError};
+use dualminer_obs::{BudgetReason, Json, Outcome, RunCtl, RunError};
 
-use crate::apriori::{finish_sets, FrequentSets};
+use crate::apriori::FrequentSets;
 use crate::vstore::{EclatCfg, EclatNode};
 use crate::TransactionDb;
 
@@ -79,53 +101,6 @@ pub struct AprioriSegState {
     /// deterministic candidate order, so a resume is bit-identical at
     /// any thread count.
     pub threads: u64,
-}
-
-fn set_to_json(s: &AttrSet) -> Json {
-    Json::Arr(s.iter().map(|i| Json::uint(i as u64)).collect())
-}
-
-fn set_from_json(v: &Json, n: usize) -> Result<AttrSet, CheckpointError> {
-    let items = v
-        .as_arr()
-        .ok_or_else(|| CheckpointError::Corrupt("set is not an array".into()))?;
-    let mut indices = Vec::with_capacity(items.len());
-    for item in items {
-        let i = item
-            .as_uint()
-            .ok_or_else(|| CheckpointError::Corrupt("set element is not a count".into()))?
-            as usize;
-        if i >= n {
-            return Err(CheckpointError::Corrupt(format!(
-                "attribute {i} outside universe of size {n}"
-            )));
-        }
-        indices.push(i);
-    }
-    Ok(AttrSet::from_indices(n, indices))
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
-    doc.get(key)
-        .ok_or_else(|| CheckpointError::Corrupt(format!("missing field {key:?}")))
-}
-
-fn uint_field(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
-    field(doc, key)?
-        .as_uint()
-        .ok_or_else(|| CheckpointError::Corrupt(format!("field {key:?} is not a count")))
-}
-
-fn uints_field(doc: &Json, key: &str) -> Result<Vec<u64>, CheckpointError> {
-    field(doc, key)?
-        .as_arr()
-        .ok_or_else(|| CheckpointError::Corrupt(format!("field {key:?} is not an array")))?
-        .iter()
-        .map(|v| {
-            v.as_uint()
-                .ok_or_else(|| CheckpointError::Corrupt(format!("{key} element is not a count")))
-        })
-        .collect()
 }
 
 impl AprioriSegState {
@@ -227,30 +202,79 @@ impl AprioriSegState {
     }
 }
 
+/// The maximal family of a mined (downward-closed) itemset collection, by
+/// proper-superset queries against a trie of the members.
+fn trie_maximal(itemsets: &[(AttrSet, usize)]) -> Vec<AttrSet> {
+    let mut member_trie = SetTrie::new();
+    for (s, _) in itemsets {
+        member_trie.insert(s);
+    }
+    itemsets
+        .iter()
+        .map(|(s, _)| s)
+        .filter(|s| !member_trie.has_proper_superset_of(s))
+        .cloned()
+        .collect()
+}
+
+/// Sorts the negative border and assembles the result, shared by complete
+/// and budget-exceeded exits. The miner derives `maximal` incrementally
+/// from its per-level subset marks (partial results carry the maximal
+/// sets *of the mined prefix*); debug builds check it against a trie scan.
+fn finish_sets(
+    db: &TransactionDb,
+    min_support: usize,
+    itemsets: Vec<(AttrSet, usize)>,
+    maximal: Vec<AttrSet>,
+    mut negative: Vec<AttrSet>,
+    candidates_per_level: Vec<usize>,
+) -> FrequentSets {
+    debug_assert_eq!(
+        maximal,
+        trie_maximal(&itemsets),
+        "incremental maximal marking must agree with the trie scan"
+    );
+    negative.sort_by(|a, b| a.cmp_card_lex(b));
+
+    FrequentSets {
+        n_items: db.n_items(),
+        min_support,
+        n_rows: db.n_rows(),
+        itemsets,
+        maximal,
+        negative_border: negative,
+        candidates_per_level,
+        support_index: OnceLock::new(),
+    }
+}
+
 /// Mirrors the checkpoint-save bookkeeping of the core drivers: saves go
 /// through the sink when at least `every` progress units accumulated
 /// since the last save. Progress here is counted in **candidate-segment
 /// passes** (one unit per candidate per segment accumulated) plus one
 /// unit per emitted query, so `--checkpoint-every 1` saves at every
 /// segment boundary, and larger cadences scale with actual work done
-/// rather than with query counts alone (which only advance at level
-/// boundaries in this engine).
+/// rather than with query counts alone (which only advance in a level's
+/// final range in this engine).
 struct SegCkpt {
     progress: u64,
     last_saved: u64,
 }
 
 impl SegCkpt {
+    /// Saves the state `state` builds if a save is due; the state (a copy
+    /// of the collections so far) is built only then.
     fn save_due(
         &mut self,
         cfg: Option<&CheckpointCfg<'_>>,
         ctl: &RunCtl<'_>,
-        state: &AprioriSegState,
+        state: impl FnOnce() -> AprioriSegState,
     ) -> Result<(), RunError> {
         let Some(cfg) = cfg else { return Ok(()) };
         if self.progress.saturating_sub(self.last_saved) < cfg.every {
             return Ok(());
         }
+        let state = state();
         cfg.sink
             .save(APRIORI_SEG_KIND, &state.to_json())
             .map_err(|e| RunError::Checkpoint(e.to_string()))?;
@@ -260,25 +284,35 @@ impl SegCkpt {
     }
 }
 
-/// [`crate::apriori::apriori_par_ctl`] with segment-boundary
-/// checkpointing and resume.
+/// Mines all frequent itemsets of `db` at absolute threshold
+/// `min_support` under a budget and an observer, with optional
+/// checkpointing and resume (see the module docs for the range schedule).
 ///
 /// * `ckpt` — optional sink + cadence; safe points are every completed
-///   segment of every level plus every level boundary.
+///   segment of every level plus every level boundary. Without a sink a
+///   level is counted in one range.
 /// * `resume` — a previously decoded [`AprioriSegState`]; the run
 ///   continues from that safe point and produces output bit-identical to
-///   an uninterrupted run (for any segment size, thread count, and
-///   [`EclatCfg`]).
+///   an uninterrupted run (for any segment size, thread count, schedule
+///   and [`EclatCfg`]).
+/// * `cfg` — the tidset↔diffset switch. It shapes only the intermediate
+///   tid structures; every support is exact either way.
+///
+/// Each candidate support count records one metered query (matching
+/// [`FrequentSets::queries`] on a complete run), and each completed level
+/// fires `on_level`. The budget is polled at every range boundary and
+/// per candidate in a level's final range. On a trip the partial result
+/// is a *genuine prefix* of the complete run's emission order — every
+/// reported itemset is truly frequent with its exact support, and
+/// `maximal` is the maximal family of that prefix. A trip before the
+/// final range leaves the completed levels; with a sink the last safe
+/// point has already been saved, so a `--resume` rerun finishes the mine
+/// without redoing completed segments.
 ///
 /// Errors only on checkpoint I/O ([`RunError::Checkpoint`]) or a resume
 /// state that does not match the database/threshold; support counting
 /// itself is infallible (the fault-injected oracle path lives in the
 /// generic levelwise driver instead).
-///
-/// On a tripped budget the partial result is the *completed levels*
-/// prefix (this engine never emits a half-counted level), and when a sink
-/// is configured the last safe point has already been saved, so a
-/// `--resume` rerun finishes the mine without redoing completed segments.
 ///
 /// # Panics
 /// Panics if `min_support` is 0.
@@ -337,17 +371,17 @@ pub fn apriori_par_seg_ctl(
         progress: 0,
         last_saved: 0,
     };
-    let state_at = |itemsets: &Vec<(AttrSet, usize)>,
-                    negative: &Vec<AttrSet>,
-                    candidates_per_level: &Vec<usize>,
+    let state_at = |itemsets: &[(AttrSet, usize)],
+                    negative: &[AttrSet],
+                    candidates_per_level: &[usize],
                     queries: u64,
                     partial: Option<SegPartial>| AprioriSegState {
         n,
         n_rows: db.n_rows(),
         min_support,
-        itemsets: itemsets.clone(),
-        negative: negative.clone(),
-        candidates_per_level: candidates_per_level.clone(),
+        itemsets: itemsets.to_vec(),
+        negative: negative.to_vec(),
+        candidates_per_level: candidates_per_level.to_vec(),
         queries,
         partial,
         threads: dualminer_parallel::effective_threads(threads) as u64,
@@ -358,7 +392,7 @@ pub fn apriori_par_seg_ctl(
     if candidates_per_level.is_empty() {
         if let Some(reason) = ctl.meter.exceeded() {
             return Ok(Outcome::BudgetExceeded {
-                partial: finish_sets(db, min_support, itemsets, negative, candidates_per_level),
+                partial: finish_sets(db, min_support, vec![], vec![], vec![], vec![]),
                 reason,
             });
         }
@@ -375,20 +409,21 @@ pub fn apriori_par_seg_ctl(
                 db,
                 min_support,
                 itemsets,
+                vec![],
                 negative,
                 candidates_per_level,
             )));
         }
         itemsets.push((AttrSet::empty(n), empty_support));
-        ckpt_state.save_due(
-            ckpt,
-            ctl,
-            &state_at(&itemsets, &negative, &candidates_per_level, queries, None),
-        )?;
+        ckpt_state.save_due(ckpt, ctl, || {
+            state_at(&itemsets, &negative, &candidates_per_level, queries, None)
+        })?;
     }
 
-    // Rebuild the frontier of the last completed level as plain tidset
-    // nodes (on a fresh run this is just the ∅ placeholder).
+    // Level entries carry (sorted index vector, dEclat node). The frontier
+    // of the last completed level is rebuilt as plain tidset nodes; on a
+    // fresh run it is just the ∅ placeholder, whose node is never read
+    // (cardinality-1 candidates are item columns, counted from the store).
     let mut card = candidates_per_level.len() - 1;
     let mut level: Vec<(Vec<usize>, Option<EclatNode>)> = itemsets
         .iter()
@@ -399,19 +434,47 @@ pub fn apriori_par_seg_ctl(
             (indices, node)
         })
         .collect();
+    // The maximal family accrues level by level: a member is maximal iff
+    // no frequent immediate superset marks it while its extensions are
+    // counted (the mined family is downward closed, so immediate
+    // supersets decide proper-superset-freeness). Levels below a resumed
+    // frontier are complete, so their maximal members are final already.
+    // `level_start` indexes the frontier's first member in `itemsets`:
+    // level[m]'s set is itemsets[level_start + m].
+    let mut maximal: Vec<AttrSet> = trie_maximal(&itemsets)
+        .into_iter()
+        .filter(|s| s.len() < card)
+        .collect();
+    let mut level_start = itemsets.len() - level.len();
+    let mut marks: Vec<bool> = Vec::new();
+    let mut tripped: Option<BudgetReason> = None;
 
-    while !level.is_empty() && card < n {
+    'levels: while !level.is_empty() && card < n {
         card += 1;
-        if let Some(reason) = ctl.meter.exceeded() {
-            return Ok(Outcome::BudgetExceeded {
-                partial: finish_sets(db, min_support, itemsets, negative, candidates_per_level),
-                reason,
-            });
-        }
+        // Shared prefix-join engine; the flat batch carries, per
+        // candidate, its `(parent, partner)` level indices (the dEclat
+        // sibling reuse) and the level indices of its remaining immediate
+        // subsets (the maximal-family marking).
         let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
+        let level_ref = &level;
+        let batch_ref = &batch;
+        let node_at = |i: u32| {
+            level_ref[i as usize]
+                .1
+                .as_ref()
+                .expect("level ≥ 1 has nodes")
+        };
+        // |t(candidate idx) ∩ segments[segs]|.
+        let count = |idx: usize, (p, q): (u32, u32), segs: Range<usize>| {
+            if card == 1 {
+                vstore.item_count_range(batch_ref.cand(idx)[0], segs)
+            } else {
+                vstore.count_pair_range(node_at(p), node_at(q), segs)
+            }
+        };
 
-        // Partial counts: resumed mid-level, or zeroed.
-        let (mut counts, seg_start) = match resume_partial.take() {
+        // Partial counts: resumed mid-level, or none yet.
+        let (mut partial, seg_start) = match resume_partial.take() {
             Some(p) => {
                 if p.card != card || p.counts.len() != batch.len() || p.segs_done > n_segs {
                     return Err(RunError::Checkpoint(format!(
@@ -424,117 +487,182 @@ pub fn apriori_par_seg_ctl(
                         batch.len()
                     )));
                 }
-                (p.counts, p.segs_done)
+                (Some(p.counts), p.segs_done)
             }
-            None => (vec![0u64; batch.len()], 0),
+            None => (None, 0),
         };
 
-        // Segment-major accumulation: one pass per segment over the whole
-        // candidate batch, workers writing disjoint chunks of `counts` in
-        // place. Safe point after every segment.
-        let level_ref = &level;
-        let batch_ref = &batch;
-        for s in seg_start..n_segs {
+        // With a sink, every segment before the last is a range of its
+        // own, accumulated into `partial` with a safe point after it.
+        let last = match ckpt {
+            Some(_) => n_segs.saturating_sub(1).max(seg_start),
+            None => seg_start,
+        };
+        for s in seg_start..last {
+            if let Some(reason) = ctl.meter.exceeded() {
+                tripped = Some(reason);
+                break 'levels;
+            }
+            let counts = partial.get_or_insert_with(|| vec![0; batch.len()]);
             dualminer_parallel::par_chunks_zip_mut(
                 threads,
                 4,
                 batch.pairs(),
-                &mut counts,
+                counts,
                 |offset, chunk, out| {
-                    for (k, (&(p, q), cnt)) in chunk.iter().zip(out.iter_mut()).enumerate() {
-                        let c = if card == 1 {
-                            vstore.item_seg_count(batch_ref.cand(offset + k)[0], s)
-                        } else {
-                            let x = level_ref[p as usize]
-                                .1
-                                .as_ref()
-                                .expect("level ≥ 1 has nodes");
-                            let y = level_ref[q as usize]
-                                .1
-                                .as_ref()
-                                .expect("level ≥ 1 has nodes");
-                            vstore.count_pair_seg(x, y, s)
-                        };
-                        *cnt += c as u64;
+                    for (k, (&pq, cnt)) in chunk.iter().zip(out.iter_mut()).enumerate() {
+                        *cnt += count(offset + k, pq, s..s + 1) as u64;
                     }
                 },
             );
             ckpt_state.progress += batch.len() as u64;
-            ckpt_state.save_due(
-                ckpt,
-                ctl,
-                &state_at(
+            ckpt_state.save_due(ckpt, ctl, || {
+                let partial = SegPartial {
+                    card,
+                    segs_done: s + 1,
+                    counts: counts.clone(),
+                };
+                state_at(
                     &itemsets,
                     &negative,
                     &candidates_per_level,
                     queries,
-                    Some(SegPartial {
-                        card,
-                        segs_done: s + 1,
-                        counts: counts.clone(),
-                    }),
-                ),
-            )?;
-            if let Some(reason) = ctl.meter.exceeded() {
-                return Ok(Outcome::BudgetExceeded {
-                    partial: finish_sets(db, min_support, itemsets, negative, candidates_per_level),
-                    reason,
-                });
-            }
+                    Some(partial),
+                )
+            })?;
         }
 
-        // Emission, in the deterministic unit order: record queries,
-        // threshold, and materialize next-level nodes for the survivors.
+        // The final range: each candidate polls the budget, records its
+        // query and completes its count. A child node is materialized only
+        // for candidates that pass the threshold — the ones the next level
+        // keeps. `None` marks a candidate skipped because the budget
+        // tripped.
+        let prior = partial.as_deref();
+        let counted: Vec<Option<(AttrSet, usize, Option<EclatNode>)>> =
+            dualminer_parallel::par_map(threads, batch.pairs(), |idx, &(p, q)| {
+                if ctl.meter.exceeded().is_some() {
+                    return None;
+                }
+                ctl.meter.record_query();
+                let cand = batch_ref.cand(idx);
+                let support =
+                    prior.map_or(0, |c| c[idx] as usize) + count(idx, (p, q), last..n_segs);
+                let node = (support >= min_support).then(|| {
+                    if card == 1 {
+                        vstore.item_node(cand[0], support, cfg)
+                    } else {
+                        vstore.make_child(node_at(p), node_at(q), support, cfg)
+                    }
+                });
+                Some((
+                    AttrSet::from_indices(n, cand.iter().copied()),
+                    support,
+                    node,
+                ))
+            });
+        // The safe point after the last segment, before emission.
+        if ckpt.is_some() && last < n_segs && counted.iter().all(Option::is_some) {
+            ckpt_state.progress += batch.len() as u64;
+            ckpt_state.save_due(ckpt, ctl, || {
+                let partial = SegPartial {
+                    card,
+                    segs_done: n_segs,
+                    counts: counted.iter().flatten().map(|c| c.1 as u64).collect(),
+                };
+                state_at(
+                    &itemsets,
+                    &negative,
+                    &candidates_per_level,
+                    queries,
+                    Some(partial),
+                )
+            })?;
+        }
+
+        // Emission, in the deterministic candidate order, truncated at the
+        // first skipped candidate.
+        let next_start = itemsets.len();
+        marks = vec![false; level.len()];
         let mut next: Vec<(Vec<usize>, Option<EclatNode>)> = Vec::new();
+        let mut tested = 0usize;
         let mut frequent_count = 0usize;
-        for (idx, &cnt) in counts.iter().enumerate() {
-            let cand = batch.cand(idx);
-            ctl.meter.record_query();
+        for (idx, verdict) in counted.into_iter().enumerate() {
+            let Some((cand_set, support, cand_node)) = verdict else {
+                tripped = Some(ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled));
+                break;
+            };
+            tested += 1;
             queries += 1;
             ckpt_state.progress += 1;
-            let support = cnt as usize;
-            let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-            if support >= min_support {
-                frequent_count += 1;
-                itemsets.push((cand_set, support));
-                let node = if card == 1 {
-                    vstore.item_node(cand[0], support, cfg)
-                } else {
+            match cand_node {
+                Some(cand_node) => {
+                    frequent_count += 1;
+                    // A frequent candidate makes every immediate subset
+                    // non-maximal — and the batch already carries all of
+                    // their level indices: parent, join partner, and the
+                    // prefix-dropping subsets the prune step located.
                     let (p, q) = batch.pair(idx);
-                    let x = level_ref[p].1.as_ref().expect("level ≥ 1 has nodes");
-                    let y = level_ref[q].1.as_ref().expect("level ≥ 1 has nodes");
-                    vstore.make_child(x, y, support, cfg)
-                };
-                next.push((cand.to_vec(), Some(node)));
-            } else {
-                negative.push(cand_set);
+                    marks[p] = true;
+                    marks[q] = true;
+                    for &m in batch.drop_subsets(idx) {
+                        marks[m as usize] = true;
+                    }
+                    itemsets.push((cand_set, support));
+                    next.push((batch.cand(idx).to_vec(), Some(cand_node)));
+                }
+                None => negative.push(cand_set),
             }
         }
-        if !batch.is_empty() {
-            candidates_per_level.push(batch.len());
+        if tested > 0 {
+            candidates_per_level.push(tested);
         }
-        ctl.observer.on_level(card, batch.len(), frequent_count);
+        ctl.observer.on_level(card, tested, frequent_count);
+        if tripped.is_some() {
+            break;
+        }
+        // This level's extensions are all counted: unmarked members are
+        // maximal for good.
+        for (m, &marked) in marks.iter().enumerate() {
+            if !marked {
+                maximal.push(itemsets[level_start + m].0.clone());
+            }
+        }
+        marks.clear();
         level = next;
-        ckpt_state.save_due(
-            ckpt,
-            ctl,
-            &state_at(&itemsets, &negative, &candidates_per_level, queries, None),
-        )?;
+        level_start = next_start;
+        ckpt_state.save_due(ckpt, ctl, || {
+            state_at(&itemsets, &negative, &candidates_per_level, queries, None)
+        })?;
     }
 
-    Ok(Outcome::Complete(finish_sets(
+    // The frontier's members that no counted extension marked, and every
+    // set emitted after them (a tripped level's survivors, none of whose
+    // supersets were mined), are maximal.
+    for (m, (s, _)) in itemsets[level_start..].iter().enumerate() {
+        if !marks.get(m).copied().unwrap_or(false) {
+            maximal.push(s.clone());
+        }
+    }
+    let sets = finish_sets(
         db,
         min_support,
         itemsets,
+        maximal,
         negative,
         candidates_per_level,
-    )))
+    );
+    Ok(match tripped {
+        Some(reason) => Outcome::BudgetExceeded {
+            partial: sets,
+            reason,
+        },
+        None => Outcome::Complete(sets),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::apriori_par_ctl_cfg;
     use dualminer_obs::checkpoint::MemoryCheckpoints;
     use dualminer_obs::{Budget, Meter, NoopObserver};
 
@@ -565,15 +693,37 @@ mod tests {
     }
 
     fn run_plain(db: &TransactionDb, sigma: usize) -> FrequentSets {
-        let meter = Meter::unlimited();
-        apriori_par_ctl_cfg(
+        crate::apriori::apriori(db, sigma)
+    }
+
+    /// One mine on the one-range schedule (no sink) or the per-segment
+    /// schedule (a sink saving at every safe point), with the meter's
+    /// query total.
+    fn run_schedule(
+        db: &TransactionDb,
+        sigma: usize,
+        threads: usize,
+        cfg: &EclatCfg,
+        per_segment: bool,
+        budget: Budget,
+    ) -> (Outcome<FrequentSets>, u64) {
+        let sink = MemoryCheckpoints::new();
+        let ckpt = CheckpointCfg {
+            sink: &sink,
+            every: 1,
+        };
+        let meter = budget.start();
+        let out = apriori_par_seg_ctl(
             db,
             sigma,
-            1,
+            threads,
             &RunCtl::new(&meter, &NoopObserver),
-            &EclatCfg::default(),
+            per_segment.then_some(&ckpt),
+            None,
+            cfg,
         )
-        .expect_complete()
+        .unwrap();
+        (out, meter.queries())
     }
 
     #[test]
@@ -588,27 +738,96 @@ mod tests {
                         EclatCfg::tidset_only(),
                         EclatCfg::diffset_always(),
                     ] {
-                        let meter = Meter::unlimited();
-                        let out = apriori_par_seg_ctl(
-                            &db,
-                            sigma,
-                            threads,
-                            &RunCtl::new(&meter, &NoopObserver),
-                            None,
-                            None,
-                            &cfg,
-                        )
-                        .unwrap()
-                        .expect_complete();
-                        assert_same(
-                            &out,
-                            &reference,
-                            &format!("seg={seg} σ={sigma} threads={threads}"),
-                        );
-                        assert_eq!(meter.queries(), reference.queries());
+                        for per_segment in [false, true] {
+                            let (out, queries) = run_schedule(
+                                &db,
+                                sigma,
+                                threads,
+                                &cfg,
+                                per_segment,
+                                Budget::UNLIMITED,
+                            );
+                            assert_same(
+                                &out.expect_complete(),
+                                &reference,
+                                &format!(
+                                    "seg={seg} σ={sigma} threads={threads} \
+                                     per_segment={per_segment}"
+                                ),
+                            );
+                            assert_eq!(queries, reference.queries());
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// A `max_queries` trip leaves a prefix of the complete run in emission
+    /// order (level by level, lexicographic within a level) with exact
+    /// supports, on both schedules. Single-threaded, the budget is exact
+    /// and both schedules stop at the same candidate.
+    #[test]
+    fn budget_trip_leaves_emission_prefix_on_both_schedules() {
+        let db = quest_db(16);
+        let sigma = 12;
+        let reference = run_plain(&db, sigma);
+        let mut emitted: Vec<AttrSet> = reference
+            .itemsets()
+            .iter()
+            .map(|(s, _)| s.clone())
+            .chain(reference.negative_border.iter().cloned())
+            .collect();
+        emitted.sort_by(|a, b| a.cmp_card_lex(b));
+        let total = reference.queries();
+        // Every limit through the first levels, then a stride, then the
+        // limits around completion.
+        let limits = (1..=total + 1).filter(|&m| m <= 48 || m % 37 == 0 || m + 1 >= total);
+        for max in limits {
+            let budget = Budget {
+                max_queries: Some(max),
+                ..Budget::UNLIMITED
+            };
+            let mut single_threaded = Vec::new();
+            for threads in [1, 3] {
+                for per_segment in [false, true] {
+                    let ctx = format!("max={max} threads={threads} per_segment={per_segment}");
+                    let (out, _) = run_schedule(
+                        &db,
+                        sigma,
+                        threads,
+                        &EclatCfg::default(),
+                        per_segment,
+                        budget,
+                    );
+                    // At `max == total` the last query lands exactly on the
+                    // limit: the run completes unless a later range boundary
+                    // polls the budget first.
+                    if max != total {
+                        assert_eq!(out.is_complete(), max > total, "{ctx}");
+                    }
+                    let partial = out.into_value();
+                    let k = partial.itemsets().len();
+                    assert_eq!(partial.itemsets(), &reference.itemsets()[..k], "{ctx}");
+                    let mut got: Vec<AttrSet> = partial
+                        .itemsets()
+                        .iter()
+                        .map(|(s, _)| s.clone())
+                        .chain(partial.negative_border.iter().cloned())
+                        .collect();
+                    got.sort_by(|a, b| a.cmp_card_lex(b));
+                    assert_eq!(got, emitted[..got.len()], "{ctx}");
+                    if threads == 1 {
+                        assert_eq!(partial.queries(), max.min(total), "{ctx}");
+                        single_threaded.push(partial);
+                    }
+                }
+            }
+            assert_same(
+                &single_threaded[0],
+                &single_threaded[1],
+                &format!("max={max}"),
+            );
         }
     }
 
@@ -694,7 +913,7 @@ mod tests {
         )
         .unwrap();
         assert!(!out.is_complete());
-        // The tripped run's partial output is a whole-levels prefix.
+        // The tripped run's partial output carries exact supports.
         let partial = out.into_value();
         for (set, supp) in partial.itemsets() {
             assert_eq!(reference.support_of(set), Some(*supp));
@@ -774,6 +993,83 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RunError::Checkpoint(_)));
+    }
+
+    /// Every state the per-segment schedule saves on Figure 1's database at
+    /// one row per segment, σ = 2, as the separate segment-major engine
+    /// wrote them before it became the one engine's checkpointed schedule.
+    /// Files in this format must keep resuming.
+    const FIGURE1_SAFE_POINTS: [&str; 13] = [
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3]],"negative":[],"candidates_per_level":[1],"queries":1,"threads":1}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3]],"negative":[],"candidates_per_level":[1],"queries":1,"threads":1,"partial":{"card":1,"segs_done":1,"counts":[1,1,1,0]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3]],"negative":[],"candidates_per_level":[1],"queries":1,"threads":1,"partial":{"card":1,"segs_done":2,"counts":[2,2,2,1]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3]],"negative":[],"candidates_per_level":[1],"queries":1,"threads":1,"partial":{"card":1,"segs_done":3,"counts":[2,3,2,2]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2]],"negative":[],"candidates_per_level":[1,4],"queries":5,"threads":1}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2]],"negative":[],"candidates_per_level":[1,4],"queries":5,"threads":1,"partial":{"card":2,"segs_done":1,"counts":[1,1,0,1,0,0]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2]],"negative":[],"candidates_per_level":[1,4],"queries":5,"threads":1,"partial":{"card":2,"segs_done":2,"counts":[2,2,1,2,1,1]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2]],"negative":[],"candidates_per_level":[1,4],"queries":5,"threads":1,"partial":{"card":2,"segs_done":3,"counts":[2,2,1,2,2,1]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2],[[0,1],2],[[0,2],2],[[1,2],2],[[1,3],2]],"negative":[[0,3],[2,3]],"candidates_per_level":[1,4,6],"queries":11,"threads":1}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2],[[0,1],2],[[0,2],2],[[1,2],2],[[1,3],2]],"negative":[[0,3],[2,3]],"candidates_per_level":[1,4,6],"queries":11,"threads":1,"partial":{"card":3,"segs_done":1,"counts":[1]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2],[[0,1],2],[[0,2],2],[[1,2],2],[[1,3],2]],"negative":[[0,3],[2,3]],"candidates_per_level":[1,4,6],"queries":11,"threads":1,"partial":{"card":3,"segs_done":2,"counts":[2]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2],[[0,1],2],[[0,2],2],[[1,2],2],[[1,3],2]],"negative":[[0,3],[2,3]],"candidates_per_level":[1,4,6],"queries":11,"threads":1,"partial":{"card":3,"segs_done":3,"counts":[2]}}"#,
+        r#"{"n":4,"n_rows":3,"min_support":2,"itemsets":[[[],3],[[0],2],[[1],3],[[2],2],[[3],2],[[0,1],2],[[0,2],2],[[1,2],2],[[1,3],2],[[0,1,2],2]],"negative":[[0,3],[2,3]],"candidates_per_level":[1,4,6,1],"queries":12,"threads":1}"#,
+    ];
+
+    #[test]
+    fn saved_states_keep_the_recorded_format_and_resume() {
+        let rows = [vec![0, 1, 2], vec![0, 1, 2, 3], vec![1, 3]];
+        let db = TransactionDb::with_segment_rows(
+            4,
+            rows.iter()
+                .map(|r| AttrSet::from_indices(4, r.iter().copied()))
+                .collect(),
+            1,
+        );
+        let reference = run_plain(&db, 2);
+        let sink = MemoryCheckpoints::new();
+        let ckpt = CheckpointCfg {
+            sink: &sink,
+            every: 1,
+        };
+        let meter = Meter::unlimited();
+        let out = apriori_par_seg_ctl(
+            &db,
+            2,
+            1,
+            &RunCtl::new(&meter, &NoopObserver),
+            Some(&ckpt),
+            None,
+            &EclatCfg::default(),
+        )
+        .unwrap()
+        .expect_complete();
+        assert_same(&out, &reference, "checkpointed run");
+        let saved: Vec<String> = sink.all().iter().map(|e| e.payload.to_string()).collect();
+        assert_eq!(saved, FIGURE1_SAFE_POINTS);
+        for (i, text) in FIGURE1_SAFE_POINTS.iter().enumerate() {
+            let state = AprioriSegState::from_json(&Json::parse(text).unwrap()).unwrap();
+            for per_segment in [false, true] {
+                let sink = MemoryCheckpoints::new();
+                let ckpt = CheckpointCfg {
+                    sink: &sink,
+                    every: 1,
+                };
+                let meter = Meter::unlimited();
+                let resumed = apriori_par_seg_ctl(
+                    &db,
+                    2,
+                    1,
+                    &RunCtl::new(&meter, &NoopObserver),
+                    per_segment.then_some(&ckpt),
+                    Some(state.clone()),
+                    &EclatCfg::default(),
+                )
+                .unwrap()
+                .expect_complete();
+                let ctx = format!("safe point {i} per_segment={per_segment}");
+                assert_same(&resumed, &reference, &ctx);
+            }
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! `support(c) = support(parent) − |d(c)|`), chosen per node by a density
 //! heuristic ([`EclatCfg::diffset_density`]): dense children switch to
 //! diffsets, which empty out as the prefix tree deepens. Read-only
-//! counting ([`VStore::count_pair`]) runs as one contiguous pass over the
-//! whole node (the per-segment runs are packed back to back); the
-//! materializing pass ([`VStore::make_child`]) and the checkpointing
-//! per-segment counter ([`VStore::count_pair_seg`]) work segment by
-//! segment, skipping segments the cached per-segment popcounts prove
-//! empty without touching a single block.
+//! counting ([`VStore::count_pair_range`]) runs as one contiguous pass
+//! over a range of segments (the per-segment runs are packed back to
+//! back): the whole node on a plain run, one segment at a time between
+//! checkpoint safe points. The materializing pass ([`VStore::make_child`])
+//! works segment by segment, skipping segments the cached per-segment
+//! popcounts prove empty without touching a single block.
 //!
 //! **Representation uniformity.** A node's `diff_children` flag fixes the
 //! representation of *all* its children (forced to diffsets when the node
@@ -38,6 +38,8 @@
 //! Representation choices affect only *how* a support is computed, never
 //! its value, so Theorem-10 query accounting, emission order, and
 //! `candidates_per_level` are independent of the heuristic's threshold.
+
+use std::ops::Range;
 
 use dualminer_bitset::kernels;
 use dualminer_bitset::AttrSet;
@@ -316,18 +318,10 @@ impl VStore {
         *self.block_starts.last().unwrap_or(&0)
     }
 
-    #[inline]
-    fn node_seg<'a>(&self, blocks: &'a [u64], s: usize) -> &'a [u64] {
-        &blocks[self.block_starts[s]..self.block_starts[s + 1]]
-    }
-
     /// Support of a single item: the popcount of its column.
     pub fn item_support(&self, item: usize) -> usize {
         debug_assert!(item < self.n_items);
-        self.segments
-            .iter()
-            .map(|seg| kernels::popcount(seg.item_run(item)))
-            .sum()
+        self.item_count_range(item, 0..self.segments.len())
     }
 
     /// Absolute support of an itemset given as a sorted index slice: a
@@ -613,58 +607,40 @@ impl VStore {
         }
     }
 
-    /// `|t(x ∪ y)|` for two sibling nodes. Node blocks are the
-    /// concatenation of their per-segment runs, so the read-only count is
-    /// **one** contiguous AND/ANDNOT-popcount pass over the whole
-    /// structure — no per-segment slicing on the reject path, which the
-    /// miner takes for every candidate that misses the threshold. (The
-    /// per-segment zero-skips live in [`make_child`](Self::make_child)
-    /// and [`count_pair_seg`](Self::count_pair_seg), where segment
-    /// granularity is load-bearing.)
-    pub fn count_pair(&self, x: &EclatNode, y: &EclatNode) -> usize {
+    /// `|t(item) ∩ segments[segs]|`: the cardinality-1 case of
+    /// [`count_pair_range`](Self::count_pair_range). Over every segment it
+    /// is [`item_support`](Self::item_support).
+    pub fn item_count_range(&self, item: usize, segs: Range<usize>) -> usize {
+        self.segments[segs]
+            .iter()
+            .map(|seg| kernels::popcount(seg.item_run(item)))
+            .sum()
+    }
+
+    /// `|t(x ∪ y) ∩ segments[segs]|` for two sibling nodes. Node blocks
+    /// are the concatenation of their per-segment runs, so the count is
+    /// **one** contiguous AND/ANDNOT-popcount pass over the range's blocks
+    /// — no per-segment slicing on the reject path, which the miner takes
+    /// for every candidate that misses the threshold. The count is
+    /// representation-independent: a diffset pair subtracts from
+    /// `|t(x) ∩ segments[segs]|` (`support(x)` over the whole store), so
+    /// summed over any partition of the segments it is `support(x ∪ y)`
+    /// for either representation.
+    pub fn count_pair_range(&self, x: &EclatNode, y: &EclatNode, segs: Range<usize>) -> usize {
         debug_assert_eq!(x.repr, y.repr, "prefix-join pairs share a representation");
+        let whole = segs.start == 0 && segs.end == self.segments.len();
+        let blocks = self.block_starts[segs.start]..self.block_starts[segs.end];
         match x.repr {
-            TidRepr::Tidset => kernels::and_len(&x.blocks, &y.blocks),
-            // support(c) = support(x) − |d(y) \ d(x)|.
-            TidRepr::Diffset => x.support - kernels::andnot_len(&y.blocks, &x.blocks),
-        }
-    }
-
-    /// `|d(y) \ d(x)|` within segment `s` (the per-segment subtraction of
-    /// the diffset recurrence), with both zero-skip shortcuts.
-    #[inline]
-    fn diff_removed_seg(&self, x: &EclatNode, y: &EclatNode, s: usize) -> usize {
-        if y.seg_counts[s] == 0 {
-            0
-        } else if x.seg_counts[s] == 0 {
-            y.seg_counts[s] as usize
-        } else {
-            kernels::andnot_len(self.node_seg(&y.blocks, s), self.node_seg(&x.blocks, s))
-        }
-    }
-
-    /// `|t(item) ∩ segment s|` — the cardinality-1 case of the
-    /// segment-major counter ([`count_pair_seg`](Self::count_pair_seg)
-    /// covers cardinality ≥ 2).
-    pub fn item_seg_count(&self, item: usize, s: usize) -> usize {
-        kernels::popcount(self.segments[s].item_run(item))
-    }
-
-    /// `|t(x ∪ y) ∩ segment s|` — the representation-independent
-    /// per-segment count the segment-major (checkpointing) counter
-    /// accumulates. Summed over all segments this equals
-    /// [`count_pair`](Self::count_pair) for either representation.
-    pub fn count_pair_seg(&self, x: &EclatNode, y: &EclatNode, s: usize) -> usize {
-        debug_assert_eq!(x.repr, y.repr);
-        match x.repr {
-            TidRepr::Tidset => {
-                if x.seg_counts[s] == 0 || y.seg_counts[s] == 0 {
-                    0
+            TidRepr::Tidset => kernels::and_len(&x.blocks[blocks.clone()], &y.blocks[blocks]),
+            // |t(c)| = |t(x)| − |d(y) \ d(x)| on the range.
+            TidRepr::Diffset => {
+                let tx = if whole {
+                    x.support
                 } else {
-                    kernels::and_len(self.node_seg(&x.blocks, s), self.node_seg(&y.blocks, s))
-                }
+                    x.t_counts[segs].iter().map(|&c| c as usize).sum()
+                };
+                tx - kernels::andnot_len(&y.blocks[blocks.clone()], &x.blocks[blocks])
             }
-            TidRepr::Diffset => x.t_counts[s] as usize - self.diff_removed_seg(x, y, s),
         }
     }
 
@@ -672,7 +648,7 @@ impl VStore {
     /// `x.diff_children`) in one streaming write pass over the segments,
     /// skipping segments the cached counts prove empty — called only for
     /// candidates that passed the threshold, with the `support` that
-    /// [`count_pair`](Self::count_pair) already established.
+    /// [`count_pair_range`](Self::count_pair_range) already established.
     pub fn make_child(
         &self,
         x: &EclatNode,
@@ -842,9 +818,23 @@ mod tests {
         assert!(vs.to_rows().is_empty());
     }
 
+    /// `count_pair_range` summed three ways: the whole store in one
+    /// range, one segment at a time, and split at the middle segment.
+    fn range_sums(vs: &VStore, x: &EclatNode, y: &EclatNode) -> [usize; 3] {
+        let n_segs = vs.n_segments();
+        let mid = n_segs / 2;
+        [
+            vs.count_pair_range(x, y, 0..n_segs),
+            (0..n_segs)
+                .map(|s| vs.count_pair_range(x, y, s..s + 1))
+                .sum(),
+            vs.count_pair_range(x, y, 0..mid) + vs.count_pair_range(x, y, mid..n_segs),
+        ]
+    }
+
     /// Exhaustively mines pairs/triples through both representations and
     /// checks every support against the horizontal count, including the
-    /// representation-independent per-segment sums.
+    /// representation-independent per-segment and split-range sums.
     #[test]
     #[allow(clippy::needless_range_loop)] // triple-nested index loops read clearer here
     fn declat_recurrences_are_exact() {
@@ -863,31 +853,28 @@ mod tests {
                     .map(|i| vs.item_node(i, vs.item_support(i), &cfg))
                     .collect();
                 for i in 0..n {
+                    let per_seg: usize = (0..vs.n_segments())
+                        .map(|s| vs.item_count_range(i, s..s + 1))
+                        .sum();
+                    let expect = naive_support(&rs, &AttrSet::from_indices(n, [i]));
+                    assert_eq!(per_seg, expect, "seg={seg} item {i}");
                     for j in (i + 1)..n {
                         let x = &items[i];
                         let y = &items[j];
                         let expect = naive_support(&rs, &AttrSet::from_indices(n, [i, j]));
-                        assert_eq!(vs.count_pair(x, y), expect, "seg={seg} pair {i},{j}");
-                        let seg_sum: usize = (0..vs.n_segments())
-                            .map(|s| vs.count_pair_seg(x, y, s))
-                            .sum();
-                        assert_eq!(seg_sum, expect);
+                        assert_eq!(range_sums(&vs, x, y), [expect; 3], "seg={seg} pair {i},{j}");
                         let c_ij = vs.make_child(x, y, expect, &cfg);
                         assert_eq!(c_ij.support, expect);
                         // Grandchildren: siblings c_ij, c_ik share parent i.
                         for k in (j + 1)..n {
-                            let support_ik = vs.count_pair(x, &items[k]);
+                            let support_ik = range_sums(&vs, x, &items[k])[0];
                             let c_ik = vs.make_child(x, &items[k], support_ik, &cfg);
                             let expect3 = naive_support(&rs, &AttrSet::from_indices(n, [i, j, k]));
                             assert_eq!(
-                                vs.count_pair(&c_ij, &c_ik),
-                                expect3,
+                                range_sums(&vs, &c_ij, &c_ik),
+                                [expect3; 3],
                                 "seg={seg} triple {i},{j},{k}"
                             );
-                            let s3: usize = (0..vs.n_segments())
-                                .map(|s| vs.count_pair_seg(&c_ij, &c_ik, s))
-                                .sum();
-                            assert_eq!(s3, expect3);
                             let made = vs.make_child(&c_ij, &c_ik, expect3, &cfg);
                             assert_eq!(made.support, expect3);
                         }

@@ -310,13 +310,15 @@ proptest! {
     /// Mining output is invariant under the vertical store's segment
     /// partition: caps of 1 (every row its own segment), a small
     /// non-dividing cap, n−1, n, and an over-large cap all produce the
-    /// same theory, borders, candidate counts, and query totals — with
-    /// both the candidate-major and the segment-major engines.
+    /// same theory, borders, candidate counts, and query totals — on both
+    /// the one-range schedule and the per-segment (checkpointed) one.
     #[test]
     fn segmented_mining_equals_monolithic(db in arb_db(), sigma in 1usize..4) {
+        use dualminer_core::checkpoint::CheckpointCfg;
         use dualminer_mining::apriori::apriori;
         use dualminer_mining::seg::apriori_par_seg_ctl;
         use dualminer_mining::EclatCfg;
+        use dualminer_obs::checkpoint::MemoryCheckpoints;
         use dualminer_obs::{Meter, NoopObserver, RunCtl};
 
         let reference = apriori(&db, sigma);
@@ -333,19 +335,22 @@ proptest! {
             let seg_db = TransactionDb::with_segment_rows(N, rows.clone(), cap);
             let fs = apriori(&seg_db, sigma);
             assert_mines_equal(&fs, &reference, &format!("apriori cap={cap}"));
+            let sink = MemoryCheckpoints::new();
+            let ckpt = CheckpointCfg { sink: &sink, every: 1 };
             let meter = Meter::unlimited();
             let seg = apriori_par_seg_ctl(
                 &seg_db,
                 sigma,
                 2,
                 &RunCtl::new(&meter, &NoopObserver),
-                None,
+                Some(&ckpt),
                 None,
                 &EclatCfg::default(),
             )
             .unwrap()
             .expect_complete();
-            assert_mines_equal(&seg, &reference, &format!("seg engine cap={cap}"));
+            assert_mines_equal(&seg, &reference, &format!("per-segment cap={cap}"));
+            prop_assert_eq!(meter.queries(), reference.queries());
         }
     }
 }
@@ -357,7 +362,8 @@ proptest! {
 /// at every tail-masking shape.
 #[test]
 fn diffset_equals_tidset_across_row_universes() {
-    use dualminer_mining::apriori::{apriori, apriori_par_ctl_cfg};
+    use dualminer_mining::apriori::apriori;
+    use dualminer_mining::seg::apriori_par_seg_ctl;
     use dualminer_mining::EclatCfg;
     use dualminer_obs::{Meter, NoopObserver, RunCtl};
 
@@ -390,13 +396,16 @@ fn diffset_equals_tidset_across_row_universes() {
             ] {
                 for threads in [1, 3] {
                     let meter = Meter::unlimited();
-                    let fs = apriori_par_ctl_cfg(
+                    let fs = apriori_par_seg_ctl(
                         &db,
                         sigma,
                         threads,
                         &RunCtl::new(&meter, &NoopObserver),
+                        None,
+                        None,
                         &cfg,
                     )
+                    .unwrap()
                     .expect_complete();
                     assert_mines_equal(
                         &fs,

@@ -28,11 +28,12 @@ use dualminer_fdep::fd::minimal_fd_lhs_via_agree_sets;
 use dualminer_fdep::keys::{minimal_keys_via_agree_sets, KeyDiscovery, NonSuperkeyOracle};
 use dualminer_fdep::Relation;
 use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
-use dualminer_mining::apriori::{apriori_par_ctl, FrequentSets};
+use dualminer_mining::apriori::FrequentSets;
 use dualminer_mining::incremental::{append_rows_ctl, IncrementalUpdate};
 use dualminer_mining::rules::association_rules;
 use dualminer_mining::seg::{apriori_par_seg_ctl, AprioriSegState, APRIORI_SEG_KIND};
 use dualminer_mining::{EclatCfg, FrequencyOracle, TransactionDb};
+use dualminer_obs::checkpoint::Envelope;
 use dualminer_obs::{
     BudgetReason, DualizeStats, FileCheckpoint, Meter, MiningObserver, RunCtl, RunError,
     StatsCollector,
@@ -143,15 +144,12 @@ fn names(universe: &Universe, set: &AttrSet) -> String {
 // Checkpoint plumbing
 // ---------------------------------------------------------------------------
 
-/// Loads and validates the resume state when `--resume` was given. A
-/// missing checkpoint file starts from scratch (so the same command line
-/// works for the first run and every rerun); a corrupt file or a
-/// checkpoint from a different engine is an error, never silent data loss.
-fn load_resume(
-    run: &RunOpts,
-    expect_kind: &str,
-    cx: &ExecCtx<'_>,
-) -> Result<Option<ResumeState>, JobError> {
+/// Reads the checkpoint envelope once when `--resume` was given. A missing
+/// checkpoint file starts from scratch (so the same command line works for
+/// the first run and every rerun); a corrupt file is an error, never
+/// silent data loss. The caller routes on the envelope's `kind` and
+/// decodes it for its engine with [`decode_core`] or [`decode_seg`].
+fn load_envelope(run: &RunOpts, cx: &ExecCtx<'_>) -> Result<Option<Envelope>, JobError> {
     if !run.resume {
         return Ok(None);
     }
@@ -160,68 +158,65 @@ fn load_resume(
     let Some(path) = run.checkpoint.as_deref() else {
         return Err(JobError::Io("--resume requires --checkpoint".into()));
     };
-    let file = FileCheckpoint::new(path);
-    let Some(envelope) = file.load().map_err(|e| JobError::Io(e.to_string()))? else {
+    let envelope = FileCheckpoint::new(path)
+        .load()
+        .map_err(|e| JobError::Io(e.to_string()))?;
+    if envelope.is_none() {
         (cx.note)(&format!(
             "note: checkpoint {path:?} not found; starting from scratch"
         ));
+    }
+    Ok(envelope)
+}
+
+/// The error for a checkpoint another engine wrote.
+fn foreign_checkpoint(run: &RunOpts, kind: &str, expected: &str) -> JobError {
+    let path = run.checkpoint.as_deref().unwrap_or_default();
+    JobError::Io(format!(
+        "checkpoint {path:?} holds a {kind} run, expected {expected}"
+    ))
+}
+
+/// Announces a decoded resume state.
+fn note_resuming(run: &RunOpts, cx: &ExecCtx<'_>) {
+    let path = run.checkpoint.as_deref().unwrap_or_default();
+    (cx.note)(&format!("note: resuming from checkpoint {path:?}"));
+}
+
+/// Decodes a core driver state (levelwise or Dualize-and-Advance) for an
+/// engine that resumes `expect_kind`.
+fn decode_core(
+    envelope: Option<Envelope>,
+    expect_kind: &str,
+    run: &RunOpts,
+    cx: &ExecCtx<'_>,
+) -> Result<Option<ResumeState>, JobError> {
+    let Some(envelope) = envelope else {
         return Ok(None);
     };
     let state = ResumeState::from_envelope(&envelope).map_err(|e| JobError::Io(e.to_string()))?;
     if state.kind() != expect_kind {
-        return Err(JobError::Io(format!(
-            "checkpoint {path:?} holds a {} run, expected {}",
-            state.kind(),
-            expect_kind
-        )));
+        return Err(foreign_checkpoint(run, state.kind(), expect_kind));
     }
-    (cx.note)(&format!("note: resuming from checkpoint {path:?}"));
+    note_resuming(run, cx);
     Ok(Some(state))
 }
 
-/// Peeks at the checkpoint file's envelope kind when `--resume` was
-/// given, without deserializing the state. `mine` routes by this: a
-/// checkpoint written by the fault-tolerant levelwise engine resumes on
-/// that engine even when the rerun passes no fault flags, and a
-/// segment-major checkpoint resumes on the segment engine.
-fn resume_kind(run: &RunOpts) -> Result<Option<String>, JobError> {
-    if !run.resume {
-        return Ok(None);
-    }
-    let Some(path) = run.checkpoint.as_deref() else {
-        return Ok(None);
-    };
-    let file = FileCheckpoint::new(path);
-    let envelope = file.load().map_err(|e| JobError::Io(e.to_string()))?;
-    Ok(envelope.map(|e| e.kind))
-}
-
-/// Loads the segment-engine resume state when `--resume` was given. Same
-/// contract as [`load_resume`]: a missing file starts from scratch, a
-/// corrupt or foreign-engine file is an error.
-fn load_seg_resume(run: &RunOpts, cx: &ExecCtx<'_>) -> Result<Option<AprioriSegState>, JobError> {
-    if !run.resume {
-        return Ok(None);
-    }
-    let Some(path) = run.checkpoint.as_deref() else {
-        return Err(JobError::Io("--resume requires --checkpoint".into()));
-    };
-    let file = FileCheckpoint::new(path);
-    let Some(envelope) = file.load().map_err(|e| JobError::Io(e.to_string()))? else {
-        (cx.note)(&format!(
-            "note: checkpoint {path:?} not found; starting from scratch"
-        ));
+/// Decodes the frequent-set engine's state.
+fn decode_seg(
+    envelope: Option<Envelope>,
+    run: &RunOpts,
+    cx: &ExecCtx<'_>,
+) -> Result<Option<AprioriSegState>, JobError> {
+    let Some(envelope) = envelope else {
         return Ok(None);
     };
     if envelope.kind != APRIORI_SEG_KIND {
-        return Err(JobError::Io(format!(
-            "checkpoint {path:?} holds a {} run, expected {APRIORI_SEG_KIND}",
-            envelope.kind
-        )));
+        return Err(foreign_checkpoint(run, &envelope.kind, APRIORI_SEG_KIND));
     }
     let state =
         AprioriSegState::from_json(&envelope.payload).map_err(|e| JobError::Io(e.to_string()))?;
-    (cx.note)(&format!("note: resuming from checkpoint {path:?}"));
+    note_resuming(run, cx);
     Ok(Some(state))
 }
 
@@ -359,11 +354,13 @@ fn render_verdict(
 
 /// Mines `db` at absolute threshold `sigma` and renders the `mine` body.
 ///
-/// Engine routing matches the historical CLI exactly: injected faults or
-/// retries (or resuming a levelwise checkpoint) take the fault-tolerant
-/// levelwise engine; a checkpointed but fault-free run takes the
-/// segment-major engine; plain runs keep the specialized apriori fast
-/// path. All three are bit-identical on complete runs.
+/// Two engine routes, bit-identical on complete runs: injected faults or
+/// retries (or resuming a `levelwise` checkpoint) take the fault-tolerant
+/// generic levelwise engine; everything else takes the frequent-set
+/// engine ([`apriori_par_seg_ctl`]), with a checkpoint sink when
+/// `--checkpoint` is given and the resume state of an `apriori-seg`
+/// checkpoint. Without a sink the engine counts each level in one range;
+/// with one it adds a safe point after every row segment.
 ///
 /// Returns the rendered output plus the mined collection (which the
 /// daemon caches to power incremental re-mining; the CLI drops it).
@@ -376,19 +373,20 @@ pub fn mine(
     cx: &ExecCtx<'_>,
 ) -> Result<(JobOutput, FrequentSets), JobError> {
     cx.observer.on_phase_start("mine");
+    let envelope = load_envelope(run, cx)?;
     let fallible = run.fault_inject.is_some()
         || run.retry > 0
-        || resume_kind(run)?.as_deref() == Some(LEVELWISE_KIND);
+        || envelope.as_ref().is_some_and(|e| e.kind == LEVELWISE_KIND);
+    let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
     let (fs, reason) = if fallible {
         // Fault-tolerant route: the generic levelwise engine over a
         // (possibly fault-injected) frequency oracle — retries,
         // checkpoint/resume — then exact supports recomputed from the
         // database. Bit-identical to apriori on the same input.
-        let resume = match load_resume(run, LEVELWISE_KIND, cx)? {
+        let resume = match decode_core(envelope, LEVELWISE_KIND, run, cx)? {
             Some(ResumeState::Levelwise(state)) => Some(state),
             _ => None,
         };
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
         let fault = match &sink {
             Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
             None => FaultCtl::with_retry(run.retry_policy()),
@@ -405,11 +403,8 @@ pub fn mine(
                 return Err(abort_error(aborted, run.checkpoint.as_deref(), cx));
             }
         }
-    } else if run.fault_tolerant() {
-        // Checkpointed (or resumed) but fault-free: the segment-major
-        // engine, bit-identical to apriori with per-segment safe points.
-        let resume = load_seg_resume(run, cx)?;
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
+    } else {
+        let resume = decode_seg(envelope, run, cx)?;
         let ckpt = sink.as_ref().map(|s| CheckpointCfg {
             sink: s,
             every: run.checkpoint_cadence(),
@@ -433,8 +428,6 @@ pub fn mine(
                 return Err(JobError::Fault(e.to_string()));
             }
         }
-    } else {
-        apriori_par_ctl(db, sigma, cx.threads, &cx.ctl()).into_parts()
     };
     cx.observer.on_phase_end("mine");
     let body = render_mine(universe, db, sigma, &fs, opts, reason, cx.observer);
@@ -521,7 +514,7 @@ fn keys_with(
         // Fault-tolerant route: Dualize & Advance under the restricted
         // Is-interesting model (non-superkey oracle) — MTh = maximal
         // agree sets, Bd⁻ = minimal keys.
-        let resume = match load_resume(run, DUALIZE_ADVANCE_KIND, cx)? {
+        let resume = match decode_core(load_envelope(run, cx)?, DUALIZE_ADVANCE_KIND, run, cx)? {
             Some(ResumeState::DualizeAdvance(state)) => Some(state),
             _ => None,
         };
@@ -646,7 +639,7 @@ pub fn transversals(
         // Fault-tolerant route via Theorem 7: against the family oracle
         // of edge complements, "uninteresting" = transversal, so a
         // Dualize & Advance run delivers Bd⁻ = Tr(H).
-        let resume = match load_resume(run, DUALIZE_ADVANCE_KIND, cx)? {
+        let resume = match decode_core(load_envelope(run, cx)?, DUALIZE_ADVANCE_KIND, run, cx)? {
             Some(ResumeState::DualizeAdvance(state)) => Some(state),
             _ => None,
         };
